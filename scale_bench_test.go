@@ -45,30 +45,36 @@ var scalingTiers = []scalingTier{
 	{"mixed-n1000-connected", gen.PresetMixed, 1000, true},
 }
 
-// scalingInstance derives the tier's seeded instance and a binding but
-// feasible constraint point: 50% deadline slack over the fastest-module
-// ASAP length, power capped at 70% of the unconstrained ASAP peak. The
-// point is deterministic in the tier (fixed seed) and verified feasible
-// outside any timer, loosening the cap in 20% steps only as a safety
-// valve (the published tiers all accept the first point).
-func scalingInstance(b *testing.B, tier scalingTier) (*Graph, *Library, Constraints) {
-	b.Helper()
+// scalingPoint derives the tier's seeded instance and its binding
+// constraint point: 50% deadline slack over the fastest-module ASAP
+// length, power capped at 70% of the unconstrained ASAP peak. The point
+// is deterministic in the tier (fixed seed).
+func scalingPoint(tb testing.TB, tier scalingTier) (*Graph, *Library, Constraints) {
+	tb.Helper()
 	cfg, err := gen.PresetConfig(tier.preset, tier.nodes)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cfg.Connect = tier.connect
 	inst := gen.NewInstance(int64(1000+tier.nodes), gen.InstanceConfig{Graph: cfg})
 	asap, err := ASAP(inst.Graph, UniformFastest(inst.Library))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	cons := Constraints{
+	return inst.Graph, inst.Library, Constraints{
 		Deadline: asap.Length() + asap.Length()/2,
 		PowerMax: asap.PeakPower() * 0.7,
 	}
+}
+
+// scalingInstance is scalingPoint verified feasible outside any timer,
+// loosening the cap in 20% steps only as a safety valve (the published
+// tiers all accept the first point).
+func scalingInstance(b *testing.B, tier scalingTier) (*Graph, *Library, Constraints) {
+	b.Helper()
+	g, lib, cons := scalingPoint(b, tier)
 	for tries := 0; ; tries++ {
-		if _, err := Synthesize(inst.Graph, inst.Library, cons, Config{}); err == nil {
+		if _, err := Synthesize(g, lib, cons, Config{}); err == nil {
 			break
 		}
 		switch {
@@ -80,7 +86,7 @@ func scalingInstance(b *testing.B, tier scalingTier) (*Graph, *Library, Constrai
 			cons.PowerMax *= 1.2
 		}
 	}
-	return inst.Graph, inst.Library, cons
+	return g, lib, cons
 }
 
 // BenchmarkScaling runs every tier in both engine modes. The legacy mode
