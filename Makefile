@@ -47,7 +47,7 @@ bench-scaling:
 # Allocation-regression tests (hot-path AllocsPerRun budgets); these are
 # meaningless under -race, so they get their own race-free lane.
 test-alloc:
-	$(GO) test -run Allocs -v ./internal/sched ./internal/core ./internal/compat
+	$(GO) test -run Allocs -v ./internal/sched ./internal/core ./internal/compat ./internal/bind
 
 # Full experiment artifacts: Figure 2 CSVs + HTML, Figure 1 report,
 # time-power surface.

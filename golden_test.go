@@ -50,7 +50,7 @@ var goldenExtraCurves = []string{"fir16", "ar", "diffeq2", "fft8"}
 const goldenSlack = 3
 
 // goldenRaceStride thins the power grid under the race detector.
-const goldenRaceStride = 4
+const goldenRaceStride = 5
 
 // goldenCase computes the digests of one group of golden entries.
 type goldenCase struct {

@@ -11,9 +11,10 @@
 package bind
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"pchls/internal/cdfg"
@@ -62,16 +63,17 @@ func (a Lifetime) Overlaps(b Lifetime) bool {
 }
 
 // Lifetimes computes the live interval of every value that must be stored:
-// one per node that has at least one consumer. Output nodes produce no
-// storable value (they transfer off-chip).
+// one per node that has at least one consumer, in producer order. Output
+// nodes produce no storable value (they transfer off-chip).
 func Lifetimes(g *cdfg.Graph, s *sched.Schedule) []Lifetime {
-	var out []Lifetime
-	for _, n := range g.Nodes() {
-		if n.Op == cdfg.Output {
-			continue
-		}
-		succs := g.Succs(n.ID)
-		if len(succs) == 0 {
+	return appendLifetimes(nil, g, s)
+}
+
+func appendLifetimes(out []Lifetime, g *cdfg.Graph, s *sched.Schedule) []Lifetime {
+	for i := 0; i < g.N(); i++ {
+		id := cdfg.NodeID(i)
+		succs := g.Succs(id)
+		if len(succs) == 0 || g.Node(id).Op == cdfg.Output {
 			continue
 		}
 		last := 0
@@ -80,7 +82,7 @@ func Lifetimes(g *cdfg.Graph, s *sched.Schedule) []Lifetime {
 				last = s.Start[v]
 			}
 		}
-		out = append(out, Lifetime{Producer: n.ID, Birth: s.End(n.ID), LastUse: last})
+		out = append(out, Lifetime{Producer: id, Birth: s.End(id), LastUse: last})
 	}
 	return out
 }
@@ -92,36 +94,16 @@ type Register struct {
 }
 
 // LeftEdge allocates registers for the given lifetimes with the classical
-// left-edge algorithm: intervals sorted by birth are packed greedily into
-// the first register whose current occupant has expired. The number of
-// registers returned equals the maximum number of simultaneously live
-// values (optimal for interval graphs).
+// left-edge algorithm: intervals sorted by birth (ties by producer) are
+// packed greedily into the lowest-index register whose current occupant
+// has expired. The number of registers returned equals the maximum number
+// of simultaneously live values (optimal for interval graphs).
 func LeftEdge(lifetimes []Lifetime) []Register {
-	sorted := append([]Lifetime(nil), lifetimes...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Birth != sorted[j].Birth {
-			return sorted[i].Birth < sorted[j].Birth
-		}
-		return sorted[i].Producer < sorted[j].Producer
-	})
-	var regs []Register
-	regLast := []int{} // last cycle each register is occupied through
-	for _, lt := range sorted {
-		placed := false
-		for r := range regs {
-			if regLast[r] < lt.Birth {
-				regs[r].Values = append(regs[r].Values, lt.Producer)
-				regLast[r] = lt.LastUse
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			regs = append(regs, Register{Values: []cdfg.NodeID{lt.Producer}})
-			regLast = append(regLast, lt.LastUse)
-		}
-	}
-	return regs
+	var sc Scratch
+	sc.lts = append(sc.lts, lifetimes...)
+	slices.SortStableFunc(sc.lts, func(a, b Lifetime) int { return cmp.Compare(a.Producer, b.Producer) })
+	sc.leftEdge()
+	return sc.registers()
 }
 
 // MaxOverlap returns the maximum number of simultaneously live values —
@@ -168,87 +150,245 @@ var ErrBinding = errors.New("inconsistent binding")
 // consistent: every node maps to an instance whose module implements its
 // operation, and operations sharing an instance never overlap in time.
 func Build(g *cdfg.Graph, s *sched.Schedule, fus []FU, fuOf []int, cm CostModel) (*Datapath, error) {
-	if len(fuOf) != g.N() {
-		return nil, fmt.Errorf("bind: fuOf has %d entries for %d nodes: %w", len(fuOf), g.N(), ErrBinding)
+	var sc Scratch
+	if _, err := sc.Eval(g, s, fus, fuOf, cm); err != nil {
+		return nil, err
 	}
-	for _, n := range g.Nodes() {
-		fi := fuOf[n.ID]
+	return sc.Datapath(fus), nil
+}
+
+// Scratch holds the working buffers of datapath construction. Eval runs
+// every check and cost computation of Build without materializing the
+// datapath, so a Scratch reused across evaluations of graphs of bounded
+// size allocates nothing once its buffers have grown (a failed check still
+// allocates its error). The zero value is ready to use. Not safe for
+// concurrent use.
+type Scratch struct {
+	order  []cdfg.NodeID // one instance's ops in start order
+	lts    []Lifetime    // stored values in producer order
+	sorted []Lifetime    // lts in (birth, producer) order
+	count  []int         // counting-sort buckets
+	// Left-edge result: reg[k] is the register of sorted[k]; each
+	// register's values form a list head[r] -> next[k] -> ... -> -1 in
+	// allocation order; last[r] is the last cycle register r is occupied.
+	reg, next  []int
+	head, tail []int
+	last       []int
+	regOf      []int // producer node -> register, -1 when not stored
+	stamp      []int // distinct-source marks, one generation per count
+	gen        int
+
+	fuMux, regMux int
+	fuArea        float64
+	cm            CostModel
+}
+
+// Eval checks the binding of fus/fuOf against the schedule exactly as
+// Build does and returns the total area of the datapath Build would
+// return. After a successful Eval, Datapath materializes that datapath.
+func (sc *Scratch) Eval(g *cdfg.Graph, s *sched.Schedule, fus []FU, fuOf []int, cm CostModel) (float64, error) {
+	n := g.N()
+	if len(fuOf) != n {
+		return 0, fmt.Errorf("bind: fuOf has %d entries for %d nodes: %w", len(fuOf), n, ErrBinding)
+	}
+	for i := 0; i < n; i++ {
+		fi := fuOf[i]
 		if fi < 0 || fi >= len(fus) {
-			return nil, fmt.Errorf("bind: node %q bound to FU %d of %d: %w", n.Name, fi, len(fus), ErrBinding)
+			return 0, fmt.Errorf("bind: node %q bound to FU %d of %d: %w", g.Node(cdfg.NodeID(i)).Name, fi, len(fus), ErrBinding)
 		}
-		if !fus[fi].Module.Implements(n.Op) {
-			return nil, fmt.Errorf("bind: node %q (%s) bound to module %q: %w", n.Name, n.Op, fus[fi].Module.Name, ErrBinding)
+		if op := g.Node(cdfg.NodeID(i)).Op; !fus[fi].Module.Implements(op) {
+			return 0, fmt.Errorf("bind: node %q (%s) bound to module %q: %w", g.Node(cdfg.NodeID(i)).Name, op, fus[fi].Module.Name, ErrBinding)
 		}
 	}
 	// No time overlap within an instance.
 	for fi, fu := range fus {
-		ops := append([]cdfg.NodeID(nil), fu.Ops...)
-		sort.Slice(ops, func(i, j int) bool { return s.Start[ops[i]] < s.Start[ops[j]] })
+		ops := append(sc.order[:0], fu.Ops...)
+		sc.order = ops
+		slices.SortFunc(ops, func(a, b cdfg.NodeID) int {
+			if c := cmp.Compare(s.Start[a], s.Start[b]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
 		for k := 1; k < len(ops); k++ {
 			prev, cur := ops[k-1], ops[k]
 			if s.Start[cur] < s.End(prev) {
-				return nil, fmt.Errorf("bind: FU %d (%s): ops %q and %q overlap in time: %w",
+				return 0, fmt.Errorf("bind: FU %d (%s): ops %q and %q overlap in time: %w",
 					fi, fu.Module.Name, g.Node(prev).Name, g.Node(cur).Name, ErrBinding)
 			}
 		}
 		for _, op := range fu.Ops {
 			if fuOf[op] != fi {
-				return nil, fmt.Errorf("bind: FU %d lists op %q but fuOf disagrees: %w", fi, g.Node(op).Name, ErrBinding)
+				return 0, fmt.Errorf("bind: FU %d lists op %q but fuOf disagrees: %w", fi, g.Node(op).Name, ErrBinding)
 			}
 		}
 	}
 
-	lifetimes := Lifetimes(g, s)
-	regs := LeftEdge(lifetimes)
-	regOf := make(map[cdfg.NodeID]int) // producer -> register
-	for r, reg := range regs {
-		for _, v := range reg.Values {
-			regOf[v] = r
-		}
+	sc.lts = appendLifetimes(slices.Grow(sc.lts[:0], n), g, s)
+	sc.leftEdge()
+	nregs := len(sc.head)
+	sc.regOf = fill(sc.regOf, n, -1)
+	for k, lt := range sc.sorted {
+		sc.regOf[lt.Producer] = sc.reg[k]
 	}
+	sc.stamp = fill(sc.stamp, max(nregs, len(fus)), 0)
 
-	d := &Datapath{FUs: fus, Registers: regs}
 	// FU operand multiplexers: for each instance and operand position, the
-	// set of distinct source registers across its bound operations.
+	// number of distinct source registers across its bound operations.
+	sc.fuMux, sc.regMux = 0, 0
 	for _, fu := range fus {
 		maxPorts := 0
 		for _, op := range fu.Ops {
-			if p := len(g.Preds(op)); p > maxPorts {
-				maxPorts = p
-			}
+			maxPorts = max(maxPorts, len(g.Preds(op)))
 		}
 		for port := 0; port < maxPorts; port++ {
-			sources := map[int]bool{}
+			sc.gen++
+			sources := 0
 			for _, op := range fu.Ops {
 				preds := g.Preds(op)
-				if port < len(preds) {
-					if r, ok := regOf[preds[port]]; ok {
-						sources[r] = true
-					}
+				if port >= len(preds) {
+					continue
+				}
+				if r := sc.regOf[preds[port]]; r >= 0 && sc.stamp[r] != sc.gen {
+					sc.stamp[r] = sc.gen
+					sources++
 				}
 			}
-			if len(sources) > 1 {
-				d.FUMuxInputs += len(sources) - 1
+			if sources > 1 {
+				sc.fuMux += sources - 1
 			}
 		}
 	}
 	// Register write multiplexers: distinct producing FUs per register.
-	for _, reg := range regs {
-		writers := map[int]bool{}
-		for _, v := range reg.Values {
-			writers[fuOf[v]] = true
+	for r := 0; r < nregs; r++ {
+		sc.gen++
+		writers := 0
+		for k := sc.head[r]; k >= 0; k = sc.next[k] {
+			if f := fuOf[sc.sorted[k].Producer]; sc.stamp[f] != sc.gen {
+				sc.stamp[f] = sc.gen
+				writers++
+			}
 		}
-		if len(writers) > 1 {
-			d.RegMuxInputs += len(writers) - 1
+		if writers > 1 {
+			sc.regMux += writers - 1
 		}
 	}
 
+	sc.fuArea = 0
 	for _, fu := range fus {
-		d.FUArea += fu.Module.Area
+		sc.fuArea += fu.Module.Area
 	}
-	d.RegArea = float64(len(regs)) * cm.RegisterArea
-	d.MuxArea = float64(d.FUMuxInputs+d.RegMuxInputs) * cm.MuxInputArea
-	return d, nil
+	sc.cm = cm
+	d := Datapath{FUArea: sc.fuArea, RegArea: sc.regArea(), MuxArea: sc.muxArea()}
+	return d.TotalArea(), nil
+}
+
+// Datapath materializes the datapath of the last successful Eval. fus must
+// list the evaluated instances (the same slice or a copy of it); the
+// result references fus but none of the scratch buffers.
+func (sc *Scratch) Datapath(fus []FU) *Datapath {
+	return &Datapath{
+		FUs:          fus,
+		Registers:    sc.registers(),
+		FUMuxInputs:  sc.fuMux,
+		RegMuxInputs: sc.regMux,
+		FUArea:       sc.fuArea,
+		RegArea:      sc.regArea(),
+		MuxArea:      sc.muxArea(),
+	}
+}
+
+func (sc *Scratch) regArea() float64 { return float64(len(sc.head)) * sc.cm.RegisterArea }
+
+func (sc *Scratch) muxArea() float64 {
+	return float64(sc.fuMux+sc.regMux) * sc.cm.MuxInputArea
+}
+
+// leftEdge runs the left-edge allocation over sc.lts, which must be in
+// producer order: a stable counting sort on birth yields the (birth,
+// producer) order, and each value goes to the lowest-index register whose
+// occupant expired before its birth.
+func (sc *Scratch) leftEdge() {
+	sc.sortByBirth()
+	sc.reg = fill(sc.reg, len(sc.sorted), 0)
+	sc.next = fill(sc.next, len(sc.sorted), -1)
+	nv := len(sc.sorted) // an upper bound on the register count
+	sc.head, sc.tail, sc.last = slices.Grow(sc.head[:0], nv), slices.Grow(sc.tail[:0], nv), slices.Grow(sc.last[:0], nv)
+	for k, lt := range sc.sorted {
+		r := 0
+		for r < len(sc.head) && sc.last[r] >= lt.Birth {
+			r++
+		}
+		if r == len(sc.head) {
+			sc.head = append(sc.head, k)
+			sc.tail = append(sc.tail, k)
+			sc.last = append(sc.last, lt.LastUse)
+		} else {
+			sc.next[sc.tail[r]] = k
+			sc.tail[r] = k
+			sc.last[r] = lt.LastUse
+		}
+		sc.reg[k] = r
+	}
+}
+
+// sortByBirth fills sc.sorted with sc.lts stably sorted by birth: a
+// counting sort over the birth range, or a comparison sort when that range
+// is too sparse for buckets to pay.
+func (sc *Scratch) sortByBirth() {
+	sc.sorted = append(sc.sorted[:0], sc.lts...)
+	if len(sc.lts) == 0 {
+		return
+	}
+	lo, hi := sc.lts[0].Birth, sc.lts[0].Birth
+	for _, lt := range sc.lts {
+		lo, hi = min(lo, lt.Birth), max(hi, lt.Birth)
+	}
+	if hi-lo > 4*len(sc.lts)+64 {
+		slices.SortStableFunc(sc.sorted, func(a, b Lifetime) int { return cmp.Compare(a.Birth, b.Birth) })
+		return
+	}
+	sc.count = fill(sc.count, hi-lo+2, 0)
+	for _, lt := range sc.lts {
+		sc.count[lt.Birth-lo+1]++
+	}
+	for b := 1; b < len(sc.count); b++ {
+		sc.count[b] += sc.count[b-1]
+	}
+	for _, lt := range sc.lts {
+		sc.sorted[sc.count[lt.Birth-lo]] = lt
+		sc.count[lt.Birth-lo]++
+	}
+}
+
+// registers materializes the left-edge allocation.
+func (sc *Scratch) registers() []Register {
+	if len(sc.head) == 0 {
+		return nil
+	}
+	regs := make([]Register, len(sc.head))
+	vals := make([]cdfg.NodeID, 0, len(sc.sorted))
+	for r := range regs {
+		from := len(vals)
+		for k := sc.head[r]; k >= 0; k = sc.next[k] {
+			vals = append(vals, sc.sorted[k].Producer)
+		}
+		regs[r].Values = vals[from:len(vals):len(vals)]
+	}
+	return regs
+}
+
+// fill returns buf resized to n entries, all set to v, reusing its
+// storage when large enough.
+func fill(buf []int, n, v int) []int {
+	if cap(buf) < n {
+		buf = make([]int, n)
+	}
+	buf = buf[:n]
+	for i := range buf {
+		buf[i] = v
+	}
+	return buf
 }
 
 // Report renders a human-readable datapath summary.

@@ -30,7 +30,7 @@ import (
 //
 // The keyVersion prefix invalidates the whole address space whenever the
 // canonical rendering or the response schema changes.
-const keyVersion = "pchls-v1"
+const keyVersion = "pchls-v2"
 
 // canonFloat renders a float bit-exactly (hex float format), so distinct
 // constraint values never collide and equal values always agree.

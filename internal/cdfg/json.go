@@ -35,8 +35,10 @@ type edgeJSON struct {
 }
 
 // MarshalJSON serializes the graph in the JSON schema above. Nodes are
-// emitted in ID order and edges in (source ID, declaration) order, so the
-// output is canonical: two equal graphs marshal to identical bytes.
+// emitted in ID order and edges in destination order, each node's incoming
+// edges in Preds (operand) order, so the output is canonical — two equal
+// graphs marshal to identical bytes — and decoding restores every node's
+// operand order.
 func (g *Graph) MarshalJSON() ([]byte, error) {
 	out := graphJSON{
 		Name:  g.Name,
@@ -47,8 +49,8 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 		out.Nodes = append(out.Nodes, nodeJSON{Name: n.Name, Op: n.Op.String()})
 	}
 	for _, n := range g.nodes {
-		for _, v := range g.succs[n.ID] {
-			out.Edges = append(out.Edges, edgeJSON{From: n.Name, To: g.nodes[v].Name})
+		for _, u := range g.preds[n.ID] {
+			out.Edges = append(out.Edges, edgeJSON{From: g.nodes[u].Name, To: n.Name})
 		}
 	}
 	return json.Marshal(out)

@@ -93,8 +93,11 @@ func Parse(r io.Reader) (*Graph, error) {
 func ParseString(s string) (*Graph, error) { return Parse(strings.NewReader(s)) }
 
 // Write serializes the graph in the .cdfg text format. The output parses
-// back to an identical graph (same names, operations and edges; node IDs
-// are preserved because nodes are emitted in ID order).
+// back to an identical graph: same names, operations and edges, node IDs
+// preserved because nodes are emitted in ID order, and each node's Preds
+// order — the operand order Eval and the datapath's multiplexer ports read
+// — preserved because edges are emitted in destination order, following
+// Preds.
 func (g *Graph) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if g.Name != "" {
@@ -104,8 +107,8 @@ func (g *Graph) Write(w io.Writer) error {
 		fmt.Fprintf(bw, "node %s %s\n", n.Name, n.Op)
 	}
 	for _, n := range g.nodes {
-		for _, v := range g.succs[n.ID] {
-			fmt.Fprintf(bw, "edge %s %s\n", n.Name, g.nodes[v].Name)
+		for _, u := range g.preds[n.ID] {
+			fmt.Fprintf(bw, "edge %s %s\n", g.nodes[u].Name, n.Name)
 		}
 	}
 	return bw.Flush()
@@ -134,8 +137,8 @@ func (g *Graph) Dot(rank func(NodeID) (step int, ok bool)) string {
 		fmt.Fprintf(&sb, "  %q [label=%q, shape=%s];\n", n.Name, fmt.Sprintf("%s\n%s", n.Name, n.Op), shape)
 	}
 	for _, n := range g.nodes {
-		for _, v := range g.succs[n.ID] {
-			fmt.Fprintf(&sb, "  %q -> %q;\n", n.Name, g.nodes[v].Name)
+		for _, u := range g.preds[n.ID] {
+			fmt.Fprintf(&sb, "  %q -> %q;\n", g.nodes[u].Name, n.Name)
 		}
 	}
 	if rank != nil {

@@ -181,62 +181,41 @@ func Greedy(g *Graph, gain GainFunc) Partition {
 	return Partition(blocks).normalize()
 }
 
-// TsengSiewiorek partitions g with the classical common-neighbour
-// heuristic: repeatedly merge the compatible pair of super-vertices with
-// the largest number of common compatible neighbours (ties: smallest
-// indices). It tends to preserve future merge opportunities and usually
-// produces few cliques.
+// TsengSiewiorek partitions g with the common-neighbour heuristic of
+// Tseng and Siewiorek. It works on the graph of super-vertices, in which
+// two super-vertices are adjacent when every cross pair of members is
+// compatible, so merging two keeps only the edges to their common
+// neighbours. It repeatedly merges the adjacent pair with the most common
+// neighbours; among those, the pair whose merge deletes the fewest edges,
+// then the smallest indices. It tends to preserve future merge
+// opportunities and usually produces few cliques.
 func TsengSiewiorek(g *Graph) Partition {
-	// Super-vertex compatibility: two supers are compatible iff all
-	// cross-pairs are compatible; their neighbourhood is the AND of member
-	// neighbourhoods.
-	supers := make([][]int, g.N())
-	for v := range supers {
+	n := g.N()
+	supers := make([][]int, n)
+	adj := make([][]bool, n) // super-graph adjacency; dead rows stay false
+	deg := make([]int, n)
+	for v := 0; v < n; v++ {
 		supers[v] = []int{v}
-	}
-	neigh := make([][]bool, g.N())
-	for v := 0; v < g.N(); v++ {
-		row := make([]bool, g.N())
-		for u := 0; u < g.N(); u++ {
-			row[u] = g.adj[v*g.n+u]
-		}
-		neigh[v] = row
-	}
-	alive := make([]bool, g.N())
-	for v := range alive {
-		alive[v] = true
-	}
-	superCompat := func(i, j int) bool {
-		for _, u := range supers[i] {
-			for _, v := range supers[j] {
-				if !g.Compatible(u, v) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	common := func(i, j int) int {
-		c := 0
-		for v := 0; v < g.N(); v++ {
-			if neigh[i][v] && neigh[j][v] {
-				c++
-			}
-		}
-		return c
+		adj[v] = append([]bool(nil), g.adj[v*n:(v+1)*n]...)
+		deg[v] = g.Degree(v)
 	}
 	for {
-		bi, bj, best := -1, -1, -1
-		for i := 0; i < g.N(); i++ {
-			if !alive[i] {
-				continue
-			}
-			for j := i + 1; j < g.N(); j++ {
-				if !alive[j] || !superCompat(i, j) {
+		bi, bj, bestCommon, bestLost := -1, -1, -1, 0
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if !adj[i][j] {
 					continue
 				}
-				if c := common(i, j); c > best {
-					bi, bj, best = i, j, c
+				common := 0
+				for k := 0; k < n; k++ {
+					if adj[i][k] && adj[j][k] {
+						common++
+					}
+				}
+				// Edges to neighbours of only one side disappear.
+				lost := deg[i] + deg[j] - 2 - 2*common
+				if common > bestCommon || (common == bestCommon && lost < bestLost) {
+					bi, bj, bestCommon, bestLost = i, j, common, lost
 				}
 			}
 		}
@@ -244,15 +223,25 @@ func TsengSiewiorek(g *Graph) Partition {
 			break
 		}
 		supers[bi] = append(supers[bi], supers[bj]...)
-		alive[bj] = false
-		for v := 0; v < g.N(); v++ {
-			neigh[bi][v] = neigh[bi][v] && neigh[bj][v]
+		supers[bj] = nil
+		for k := 0; k < n; k++ {
+			keep := adj[bi][k] && adj[bj][k]
+			if adj[bi][k] != keep {
+				deg[k]--
+			}
+			if adj[bj][k] && k != bi {
+				deg[k]--
+			}
+			adj[bi][k], adj[k][bi] = keep, keep
+			adj[bj][k], adj[k][bj] = false, false
 		}
+		deg[bi] = bestCommon
+		deg[bj] = 0
 	}
 	var p Partition
-	for i, ok := range alive {
-		if ok {
-			p = append(p, supers[i])
+	for _, s := range supers {
+		if s != nil {
+			p = append(p, s)
 		}
 	}
 	return p.normalize()

@@ -245,21 +245,22 @@ func TestQuickHeuristicsValidAndExactNoWorse(t *testing.T) {
 }
 
 func TestQuickTsengSiewiorekNearOptimalOnSmall(t *testing.T) {
-	// On tiny graphs the common-neighbour heuristic is usually optimal;
-	// we assert it is never more than 1 clique worse (a known property on
-	// graphs this small, acting as a regression tripwire for the
-	// implementation).
-	f := func(seed int64) bool {
+	// On 8-vertex graphs of edge density 0.5 the common-neighbour
+	// heuristic is optimal on about 96% of instances and never more than
+	// one clique worse (checked over seeds 0-199999). A fixed seed sweep,
+	// including seed 81, where counting merged vertices as common
+	// neighbours once cost two cliques, keeps this regression tripwire
+	// deterministic.
+	for seed := int64(0); seed < 2000; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomCompat(rng, 8, 0.5)
 		ts := TsengSiewiorek(g)
 		exact, err := ExactMinCliques(g)
 		if err != nil {
-			return false
+			t.Fatal(err)
 		}
-		return len(ts) <= len(exact)+1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
+		if len(ts) > len(exact)+1 {
+			t.Errorf("seed %d: %d cliques, optimum %d", seed, len(ts), len(exact))
+		}
 	}
 }

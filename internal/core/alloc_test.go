@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"pchls/internal/bench"
+	"pchls/internal/cdfg"
+	"pchls/internal/gen"
 	"pchls/internal/library"
 	"pchls/internal/sched"
 )
@@ -66,4 +68,67 @@ func TestBestDecisionSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("warm bestDecision allocates %.1f/run, budget %d", got, max)
 	}
 	t.Logf("warm bestDecision: %.1f allocs/run", got)
+}
+
+// TestShiftMergeRejectedTrialAllocs pins the allocation count of rejected
+// merge trials on a stitched design at steady state: zero. The state is
+// rebuilt from a min-cut design whose stitch already ran every merge pass
+// to its fixpoint, so every shift-merge and plain merge trial is rejected
+// and rolled back — through re-timing, the trial evaluation (every check
+// of finish plus the exact area) and the engine rebuild — in buffers the
+// state owns. Each trial used to build and discard a full Design.
+func TestShiftMergeRejectedTrialAllocs(t *testing.T) {
+	cfg, err := gen.PresetConfig(gen.PresetLayered, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Connect = true
+	inst := gen.NewInstance(2000, gen.InstanceConfig{Graph: cfg})
+	asap, err := sched.ASAP(inst.Graph, sched.UniformFastest(inst.Library))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cons := Constraints{Deadline: asap.Length() + asap.Length()/2, PowerMax: asap.PeakPower() * 0.7}
+	d, err := Synthesize(inst.Graph, inst.Library, cons, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Stats.Regions < 2 {
+		t.Fatalf("design was not stitched (%d regions)", d.Stats.Regions)
+	}
+	all := make([]cdfg.NodeID, d.Graph.N())
+	for i := range all {
+		all[i] = cdfg.NodeID(i)
+	}
+	// The commit log's instance indices predate the stitch's merges.
+	whole := *d
+	whole.Decisions = nil
+	st, err := stitchState(d.Graph, d.Library, cons, Config{}, [][]cdfg.NodeID{all}, nil, []*Design{&whole}, Stats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	area, err := st.evaluate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if area != d.Area() {
+		t.Fatalf("evaluate: area %g, design area %g", area, d.Area())
+	}
+	for name, pass := range map[string]func() bool{
+		"shiftMergePass": st.shiftMergePass,
+		"mergePass":      func() bool { n := len(st.fus); st.mergePass(); return len(st.fus) != n },
+		"evaluate":       func() bool { _, err := st.evaluate(); return err != nil },
+	} {
+		if pass() { // warm-up: grows every buffer once
+			t.Fatalf("%s changed the fixpoint design", name)
+		}
+		got := testing.AllocsPerRun(2, func() {
+			if pass() {
+				t.Fatalf("%s changed the fixpoint design", name)
+			}
+		})
+		if got != 0 {
+			t.Errorf("%s: %.1f allocs/run, want 0", name, got)
+		}
+	}
 }

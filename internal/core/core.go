@@ -289,6 +289,15 @@ type state struct {
 	busyA, busyB []interval     // reservation-list scratch (legacy path)
 	cm           bind.CostModel
 
+	// evaluate's scratch: a schedule view aliasing start/delays/powers,
+	// the instance list, the power profile and the datapath buffers.
+	evalSched sched.Schedule
+	evalFUs   []bind.FU
+	evalProf  []float64
+	evalBind  bind.Scratch
+	// sm is the shift-merge scratch (tryShiftMerge, packShift, ripplePack).
+	sm shiftScratch
+
 	// Power-aware SDC tightening tables (partition paths only): per
 	// candidate module, the next/previous cycle where the ambient
 	// BaseProfile leaves no headroom for that module's power. BaseProfile
@@ -980,38 +989,53 @@ func (st *state) repair() error {
 	return nil
 }
 
+// evaluate runs every check the final design must pass on the current
+// state — precedence, power cap and deadline (sched.Schedule.Validate);
+// module/operation match, no overlap within an instance and fuOf
+// consistency (bind.Scratch.Eval) — and returns the exact datapath area.
+// All buffers belong to the state, so a passing evaluation allocates
+// nothing. Merge trials call it alone; finish assembles the Design from it.
+func (st *state) evaluate() (float64, error) {
+	st.evalSched = sched.Schedule{G: st.g, Start: st.start, Delay: st.delays, Power: st.powers}
+	if err := st.evalSched.ValidateInto(st.cons.PowerMax, st.cons.Deadline, &st.evalProf); err != nil {
+		return 0, fmt.Errorf("core: internal error: final schedule invalid: %w", err)
+	}
+	st.evalFUs = st.evalFUs[:0]
+	for _, f := range st.fus {
+		st.evalFUs = append(st.evalFUs, bind.FU{Module: st.lib.Module(f.module), Ops: f.ops})
+	}
+	area, err := st.evalBind.Eval(st.g, &st.evalSched, st.evalFUs, st.fuOf, st.cm)
+	if err != nil {
+		return 0, fmt.Errorf("core: internal error: %w", err)
+	}
+	return area, nil
+}
+
 // finish validates and assembles the Design.
 func (st *state) finish() (*Design, error) {
+	if _, err := st.evaluate(); err != nil {
+		return nil, err
+	}
 	s := sched.Schedule{
 		G:      st.g,
 		Start:  append([]int(nil), st.start...),
-		Delay:  make([]int, st.g.N()),
-		Power:  make([]float64, st.g.N()),
+		Delay:  append([]int(nil), st.delays...),
+		Power:  append([]float64(nil), st.powers...),
 		Module: make([]string, st.g.N()),
 	}
-	for i := range st.moduleOf {
-		m := st.lib.Module(st.moduleOf[i])
-		s.Delay[i] = m.Delay
-		s.Power[i] = m.Power
-		s.Module[i] = m.Name
-	}
-	if err := s.Validate(st.cons.PowerMax, st.cons.Deadline); err != nil {
-		return nil, fmt.Errorf("core: internal error: final schedule invalid: %w", err)
+	for i, mi := range st.moduleOf {
+		s.Module[i] = st.lib.Module(mi).Name
 	}
 	fus := make([]bind.FU, len(st.fus))
-	for i, f := range st.fus {
-		fus[i] = bind.FU{Module: st.lib.Module(f.module), Ops: append([]cdfg.NodeID(nil), f.ops...)}
-	}
-	dp, err := bind.Build(st.g, &s, fus, st.fuOf, st.cfg.cost())
-	if err != nil {
-		return nil, fmt.Errorf("core: internal error: %w", err)
+	for i, f := range st.evalFUs {
+		fus[i] = bind.FU{Module: f.Module, Ops: append([]cdfg.NodeID(nil), f.Ops...)}
 	}
 	return &Design{
 		Graph:     st.g,
 		Library:   st.lib,
 		Cons:      st.cons,
 		Schedule:  &s,
-		Datapath:  dp,
+		Datapath:  st.evalBind.Datapath(fus),
 		FUs:       fus,
 		FUOf:      append([]int(nil), st.fuOf...),
 		Locked:    st.locked,

@@ -219,19 +219,26 @@ func (st *state) computeEntry(v cdfg.NodeID, mi int) winEntry {
 // rebuild recomputes profile and reservations from the committed state —
 // the clique-partition path commits in bulk without going through
 // commit(), then calls this before the merge pass.
+//
+// The lists' storage is reused: every reservation list in e.resv, up to
+// its capacity, owns its backing array (mergeFUs and unmergeFUs keep it
+// that way), so refilling them in place allocates only when one grows.
 func (e *engine) rebuild(st *state) {
-	for c := range e.profile {
-		e.profile[c] = 0
+	clear(e.profile)
+	e.resv = e.resv[:min(len(e.resv), len(st.fus))]
+	for len(e.resv) < len(st.fus) {
+		e.resv = append(e.resv, nil)
 	}
-	e.resv = make([][]interval, len(st.fus))
 	for f := range st.fus {
+		r := e.resv[f][:0]
 		for _, op := range st.fus[f].ops {
 			m := st.lib.Module(st.moduleOf[op])
-			e.resv[f] = append(e.resv[f], interval{st.start[op], st.start[op] + m.Delay})
+			r = append(r, interval{st.start[op], st.start[op] + m.Delay})
 			for c := st.start[op]; c < st.start[op]+m.Delay && c < e.horizon; c++ {
 				e.profile[c] += m.Power
 			}
 		}
+		e.resv[f] = r
 	}
 }
 

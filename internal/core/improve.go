@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"pchls/internal/cdfg"
 	"pchls/internal/sched"
@@ -125,15 +126,8 @@ func (st *state) areaDescent() {
 // the exact datapath area (functional units, registers and interconnect).
 // It runs after all operations are committed.
 func (st *state) mergePass() {
-	area := func() (float64, bool) {
-		d, err := st.finish()
-		if err != nil {
-			return 0, false
-		}
-		return d.Area(), true
-	}
-	cur, ok := area()
-	if !ok {
+	cur, err := st.evaluate()
+	if err != nil {
 		return
 	}
 	for changed := true; changed; {
@@ -146,14 +140,13 @@ func (st *state) mergePass() {
 				if st.overlaps(i, j) {
 					continue
 				}
-				saved := st.snapshotFUs()
-				st.mergeFUs(i, j)
-				if a, ok := area(); ok && a < cur-1e-9 {
+				m := st.mergeFUs(i, j)
+				if a, err := st.evaluate(); err == nil && a < cur-1e-9 {
 					cur = a
 					changed = true
 					j-- // instance j was removed; re-examine this index
 				} else {
-					st.restoreFUs(saved)
+					st.unmergeFUs(m)
 				}
 			}
 		}
@@ -174,45 +167,25 @@ func (st *state) overlaps(i, j int) bool {
 	return false
 }
 
-type fuSnapshot struct {
-	fus  []instance
-	fuOf []int
-	resv [][]interval
-}
-
-func (st *state) snapshotFUs() fuSnapshot {
-	s := fuSnapshot{
-		fus:  make([]instance, len(st.fus)),
-		fuOf: append([]int(nil), st.fuOf...),
-	}
-	for i, f := range st.fus {
-		s.fus[i] = instance{module: f.module, ops: append([]cdfg.NodeID(nil), f.ops...)}
-	}
-	if st.eng != nil {
-		s.resv = make([][]interval, len(st.eng.resv))
-		for i, r := range st.eng.resv {
-			s.resv[i] = append([]interval(nil), r...)
-		}
-	}
-	return s
-}
-
-func (st *state) restoreFUs(s fuSnapshot) {
-	st.fus = s.fus
-	st.fuOf = s.fuOf
-	if st.eng != nil {
-		st.eng.resv = s.resv
-	}
+// fuMerge records one mergeFUs call for unmergeFUs.
+type fuMerge struct {
+	i, j        int
+	iOps, iResv int        // instance i's op and reservation counts before
+	j0          instance   // the removed instance
+	jResv       []interval // and its reservation list
 }
 
 // mergeFUs moves all ops of instance j onto instance i and deletes j,
-// renumbering fuOf (and the engine's reservation lists alongside).
-func (st *state) mergeFUs(i, j int) {
+// renumbering fuOf (and the engine's reservation lists alongside). It
+// allocates only when instance i's lists must grow.
+func (st *state) mergeFUs(i, j int) fuMerge {
+	m := fuMerge{i: i, j: j, iOps: len(st.fus[i].ops), j0: st.fus[j]}
 	st.fus[i].ops = append(st.fus[i].ops, st.fus[j].ops...)
-	st.fus = append(st.fus[:j], st.fus[j+1:]...)
+	st.fus = slices.Delete(st.fus, j, j+1)
 	if st.eng != nil {
+		m.iResv, m.jResv = len(st.eng.resv[i]), st.eng.resv[j]
 		st.eng.resv[i] = append(st.eng.resv[i], st.eng.resv[j]...)
-		st.eng.resv = append(st.eng.resv[:j], st.eng.resv[j+1:]...)
+		st.eng.resv = slices.Delete(st.eng.resv, j, j+1)
 	}
 	for n := range st.fuOf {
 		switch {
@@ -221,5 +194,25 @@ func (st *state) mergeFUs(i, j int) {
 		case st.fuOf[n] > j:
 			st.fuOf[n]--
 		}
+	}
+	return m
+}
+
+// unmergeFUs undoes the most recent mergeFUs, which must be m, reusing the
+// storage it freed.
+func (st *state) unmergeFUs(m fuMerge) {
+	for n := range st.fuOf {
+		if st.fuOf[n] >= m.j {
+			st.fuOf[n]++
+		}
+	}
+	for _, op := range m.j0.ops {
+		st.fuOf[op] = m.j
+	}
+	st.fus[m.i].ops = st.fus[m.i].ops[:m.iOps]
+	st.fus = slices.Insert(st.fus, m.j, m.j0)
+	if st.eng != nil {
+		st.eng.resv[m.i] = st.eng.resv[m.i][:m.iResv]
+		st.eng.resv = slices.Insert(st.eng.resv, m.j, m.jResv)
 	}
 }

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pchls/internal/cdfg"
 	"pchls/internal/library"
@@ -391,10 +392,34 @@ func addRealPower(dst []float64, d *Design, realN int) {
 // verify.Check independently re-derives every constraint on the stitched
 // result.
 func stitchRegions(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Config, comps [][]cdfg.NodeID, realNs []int, regions []*Design, driver Stats) (*Design, error) {
+	st, err := stitchState(g, lib, cons, cfg, comps, realNs, regions, driver)
+	if err != nil {
+		return nil, err
+	}
+	st.mergePass()
+	for st.shiftMergePass() {
+		st.mergePass()
+	}
+	d, err := st.finish()
+	if err != nil {
+		return nil, err
+	}
+	if err := verify.Check(VerifyInput(d)); err != nil {
+		return nil, fmt.Errorf("core: stitched design rejected by the verifier: %w", err)
+	}
+	return d, nil
+}
+
+// stitchState builds the committed state of the parent graph from the
+// per-part designs, before the merge passes (see stitchRegions).
+func stitchState(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Config, comps [][]cdfg.NodeID, realNs []int, regions []*Design, driver Stats) (*state, error) {
 	cfg.Partition = PartitionOff
 	cfg.BaseProfile = nil
 	cfg.Release = nil
 	cfg.Due = nil
+	// The stitched state makes no decisions, so the sharing prefilter
+	// (O(n^2) bits on the SDC path) would be built for nothing.
+	cfg.noCompat = true
 	st, err := newState(g, lib, cons, cfg)
 	if err != nil {
 		return nil, err
@@ -457,18 +482,7 @@ func stitchRegions(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Co
 	if st.eng != nil {
 		st.eng.rebuild(st)
 	}
-	st.mergePass()
-	for st.shiftMergePass() {
-		st.mergePass()
-	}
-	d, err := st.finish()
-	if err != nil {
-		return nil, err
-	}
-	if err := verify.Check(VerifyInput(d)); err != nil {
-		return nil, fmt.Errorf("core: stitched design rejected by the verifier: %w", err)
-	}
-	return d, nil
+	return st, nil
 }
 
 // stitchSequential is the power-coupled repair of the decomposed path:
@@ -511,11 +525,10 @@ func stitchSequential(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg
 // when every collision resolves and the exact datapath area shrinks. Runs
 // after all operations are committed; returns whether anything merged.
 func (st *state) shiftMergePass() bool {
-	d0, err := st.finish()
+	cur, err := st.evaluate()
 	if err != nil {
 		return false
 	}
-	cur := d0.Area()
 	any := false
 	for changed := true; changed; {
 		changed = false
@@ -554,6 +567,47 @@ func (st *state) canHost(mi int, ops []cdfg.NodeID) bool {
 	return true
 }
 
+// shiftScratch holds the buffers of the shift-merge trials. They live on
+// the state and are reused by every trial, so a rejected trial allocates
+// nothing once they have grown.
+type shiftScratch struct {
+	iOps, jOps, union []cdfg.NodeID // the pair's operations at entry
+	iResv, jResv      []interval    // and their reservations
+	baseProf, prof    []float64     // committed power at entry; per-attempt copy
+	oldMods           []int         // modules of re-bound operations
+	moving            []cdfg.NodeID // packShift/ripplePack: moves in start order
+	busy, resv        []interval    // reservations the moves must avoid
+	mark              []int         // packShift: mark[x] == gen for moving x
+	gen               int
+	undo              []move // applied moves, oldest first
+}
+
+// move records one re-timed operation and its previous start.
+type move struct {
+	id  cdfg.NodeID
+	old int
+}
+
+// revertMoves undoes every move logged since the last packShift or
+// ripplePack began.
+func (st *state) revertMoves() {
+	u := st.sm.undo
+	for k := len(u) - 1; k >= 0; k-- {
+		st.start[u[k].id] = u[k].old
+	}
+	st.sm.undo = u[:0]
+}
+
+// sortByStart orders ops by committed start, ties by ID.
+func (st *state) sortByStart(ops []cdfg.NodeID) {
+	slices.SortFunc(ops, func(a, b cdfg.NodeID) int {
+		if c := cmp.Compare(st.start[a], st.start[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+}
+
 // tryShiftMerge re-times operations so instances i and j can share one
 // timeline, then merges j into i when the exact area strictly improves.
 // Same-module pairs attempt three progressively more aggressive
@@ -561,15 +615,18 @@ func (st *state) canHost(mi int, ops []cdfg.NodeID) bool {
 // around j's, and finally re-pack the union from an empty timeline.
 // Different-module pairs additionally re-bind one side's operations onto
 // the other's module (both directions tried) before re-timing. The first
-// attempt whose merged design passes the full finish validation and
-// shrinks the exact area wins; every rejected attempt is rolled back
-// completely. Returns the new area and whether a merge was kept.
+// attempt whose merged state passes the full evaluation (every check of
+// finish) and shrinks the exact area wins; every rejected attempt is
+// rolled back completely. Returns the new area and whether a merge was
+// kept.
 func (st *state) tryShiftMerge(i, j int, cur float64) (float64, bool) {
-	iOps := append([]cdfg.NodeID(nil), st.fus[i].ops...)
-	jOps := append([]cdfg.NodeID(nil), st.fus[j].ops...)
-	union := append(append([]cdfg.NodeID(nil), iOps...), jOps...)
-	iResv := append([]interval(nil), st.reservationsInto(i, &st.busyA)...)
-	jResv := append([]interval(nil), st.reservationsInto(j, &st.busyA)...)
+	sm := &st.sm
+	sm.iOps = append(sm.iOps[:0], st.fus[i].ops...)
+	sm.jOps = append(sm.jOps[:0], st.fus[j].ops...)
+	sm.union = append(append(sm.union[:0], sm.iOps...), sm.jOps...)
+	sm.iResv = append(sm.iResv[:0], st.reservationsInto(i, &st.busyA)...)
+	sm.jResv = append(sm.jResv[:0], st.reservationsInto(j, &st.busyA)...)
+	iOps, jOps, union, iResv, jResv := sm.iOps, sm.jOps, sm.union, sm.iResv, sm.jResv
 	mi, mj := st.fus[i].module, st.fus[j].module
 	type attempt struct {
 		rebind []cdfg.NodeID // ops re-bound to the target module first
@@ -578,14 +635,14 @@ func (st *state) tryShiftMerge(i, j int, cur float64) (float64, bool) {
 		fixed  []interval
 		ripple bool // ripplePack instead of packShift
 	}
-	var attempts []attempt
+	var buf [6]attempt
+	attempts := buf[:0]
 	if mi == mj {
-		attempts = []attempt{
-			{nil, mi, jOps, iResv, false},
-			{nil, mi, iOps, jResv, false},
-			{nil, mi, union, nil, false},
-			{nil, mi, union, nil, true},
-		}
+		attempts = append(attempts,
+			attempt{nil, mi, jOps, iResv, false},
+			attempt{nil, mi, iOps, jResv, false},
+			attempt{nil, mi, union, nil, false},
+			attempt{nil, mi, union, nil, true})
 	} else {
 		if st.canHost(mi, jOps) {
 			attempts = append(attempts,
@@ -606,22 +663,23 @@ func (st *state) tryShiftMerge(i, j int, cur float64) (float64, bool) {
 	// on its own copy, patched for the ops it re-binds (a module change the
 	// engine has not seen), so the re-timings never pay the full-profile
 	// rebuild that dominated the stitch at n=1000.
-	var baseProf []float64
-	if st.cons.PowerMax > 0 {
+	capped := st.cons.PowerMax > 0
+	if capped {
 		if st.eng != nil {
-			baseProf = append([]float64(nil), st.eng.profile...)
+			sm.baseProf = append(sm.baseProf[:0], st.eng.profile...)
 		} else {
-			baseProf = append([]float64(nil), st.committedProfileScratch(st.cons.Deadline)...)
+			sm.baseProf = append(sm.baseProf[:0], st.committedProfileScratch(st.cons.Deadline)...)
 		}
 	}
 	for _, at := range attempts {
 		var prof []float64
-		if baseProf != nil {
-			prof = append([]float64(nil), baseProf...)
+		if capped {
+			sm.prof = append(sm.prof[:0], sm.baseProf...)
+			prof = sm.prof
 		}
-		oldMods := make([]int, len(at.rebind))
-		for k, x := range at.rebind {
-			oldMods[k] = st.moduleOf[x]
+		sm.oldMods = sm.oldMods[:0]
+		for _, x := range at.rebind {
+			sm.oldMods = append(sm.oldMods, st.moduleOf[x])
 			if prof != nil {
 				for c := st.start[x]; c < st.start[x]+st.delays[x] && c < len(prof); c++ {
 					prof[c] -= st.powers[x]
@@ -634,35 +692,29 @@ func (st *state) tryShiftMerge(i, j int, cur float64) (float64, bool) {
 				}
 			}
 		}
-		unbind := func() {
-			for k, x := range at.rebind {
-				st.setModule(x, oldMods[k])
-			}
-		}
-		var revert func()
 		var ok bool
 		if at.ripple {
-			revert, ok = st.ripplePack(i, j, prof)
+			ok = st.ripplePack(i, j, prof)
 		} else {
-			revert, ok = st.packShift(at.moving, at.fixed, prof)
+			ok = st.packShift(at.moving, at.fixed, prof)
 		}
-		if !ok {
-			unbind()
-			continue
+		if ok {
+			st.fus[i].module = at.target
+			m := st.mergeFUs(i, j)
+			if a, err := st.evaluate(); err == nil && a < cur-1e-9 {
+				if st.eng != nil {
+					st.eng.rebuild(st)
+				}
+				return a, true
+			}
+			st.unmergeFUs(m)
+			st.fus[i].module = mi
+			st.revertMoves()
 		}
-		saved := st.snapshotFUs()
-		st.fus[i].module = at.target
-		st.mergeFUs(i, j)
-		if st.eng != nil {
-			st.eng.rebuild(st)
+		for k, x := range at.rebind {
+			st.setModule(x, sm.oldMods[k])
 		}
-		if d2, err := st.finish(); err == nil && d2.Area() < cur-1e-9 {
-			return d2.Area(), true
-		}
-		st.restoreFUs(saved)
-		revert()
-		unbind()
-		if st.eng != nil {
+		if ok && st.eng != nil {
 			st.eng.rebuild(st)
 		}
 	}
@@ -678,32 +730,23 @@ func (st *state) tryShiftMerge(i, j int, cur float64) (float64, bool) {
 // see updated predecessor finishes. prof is the caller's private copy of
 // the committed per-cycle power (nil without a cap); it is consumed — the
 // bookkeeping mutates it freely. On success the moves are left applied
-// and the returned closure undoes them; on failure everything is already
-// rolled back.
-func (st *state) packShift(moving []cdfg.NodeID, fixed []interval, prof []float64) (func(), bool) {
+// and logged for revertMoves; on failure everything is already rolled
+// back.
+func (st *state) packShift(moving []cdfg.NodeID, fixed []interval, prof []float64) bool {
 	T := st.cons.Deadline
-	ops := append([]cdfg.NodeID(nil), moving...)
-	sort.Slice(ops, func(a, b int) bool {
-		if st.start[ops[a]] != st.start[ops[b]] {
-			return st.start[ops[a]] < st.start[ops[b]]
-		}
-		return ops[a] < ops[b]
-	})
-	inMoving := make(map[cdfg.NodeID]bool, len(ops))
+	sm := &st.sm
+	ops := append(sm.moving[:0], moving...)
+	sm.moving = ops
+	st.sortByStart(ops)
+	if len(sm.mark) != st.g.N() {
+		sm.mark = make([]int, st.g.N())
+	}
+	sm.gen++
 	for _, x := range ops {
-		inMoving[x] = true
+		sm.mark[x] = sm.gen
 	}
-	busy := append([]interval(nil), fixed...)
-	type move struct {
-		id  cdfg.NodeID
-		old int
-	}
-	undo := make([]move, 0, len(ops))
-	revert := func() {
-		for k := len(undo) - 1; k >= 0; k-- {
-			st.start[undo[k].id] = undo[k].old
-		}
-	}
+	busy := append(sm.busy[:0], fixed...)
+	sm.undo = sm.undo[:0]
 	for _, x := range ops {
 		d, p := st.delays[x], st.powers[x]
 		lo := 0
@@ -717,7 +760,7 @@ func (st *state) packShift(moving []cdfg.NodeID, fixed []interval, prof []float6
 			// Successors that move too are re-placed after x (the start
 			// order respects precedence), with a lower bound that already
 			// covers this edge — they do not pin x's window.
-			if inMoving[sc] {
+			if sm.mark[sc] == sm.gen {
 				continue
 			}
 			if st.start[sc] < hi {
@@ -750,10 +793,11 @@ func (st *state) packShift(moving []cdfg.NodeID, fixed []interval, prof []float6
 			break
 		}
 		if !found {
-			revert()
-			return nil, false
+			sm.busy = busy
+			st.revertMoves()
+			return false
 		}
-		undo = append(undo, move{x, st.start[x]})
+		sm.undo = append(sm.undo, move{x, st.start[x]})
 		st.start[x] = t
 		busy = append(busy, interval{t, t + d})
 		if prof != nil {
@@ -762,7 +806,8 @@ func (st *state) packShift(moving []cdfg.NodeID, fixed []interval, prof []float6
 			}
 		}
 	}
-	return revert, true
+	sm.busy = busy
+	return true
 }
 
 // ripplePack is the most aggressive re-timing of the shift merge: the
@@ -776,37 +821,25 @@ func (st *state) packShift(moving []cdfg.NodeID, fixed []interval, prof []float6
 // revisiting: when a node's turn comes, its predecessors are final.
 // Zero-slack neighborhoods that packShift cannot touch (every region ends
 // up deadline-tight after its own area descent) become mergeable at the
-// price of re-timing bystander operations; the full finish validation
-// still gates acceptance. Same contract as packShift: prof is the
-// caller's private, freely mutated copy of the committed power profile
-// (nil without a cap); on success the moves are applied and the closure
-// undoes them, on failure everything is already rolled back.
-func (st *state) ripplePack(i, j int, prof []float64) (func(), bool) {
+// price of re-timing bystander operations; the full evaluation still
+// gates acceptance. Same contract as packShift: prof is the caller's
+// private, freely mutated copy of the committed power profile (nil
+// without a cap); on success the moves are applied and logged for
+// revertMoves, on failure everything is already rolled back.
+func (st *state) ripplePack(i, j int, prof []float64) bool {
 	T := st.cons.Deadline
 	if st.topo == nil {
 		topo, err := st.g.TopoOrder()
 		if err != nil {
-			return nil, false
+			return false
 		}
 		st.topo = topo
 	}
-	moving := append(append([]cdfg.NodeID(nil), st.fus[i].ops...), st.fus[j].ops...)
-	sort.Slice(moving, func(a, b int) bool {
-		if st.start[moving[a]] != st.start[moving[b]] {
-			return st.start[moving[a]] < st.start[moving[b]]
-		}
-		return moving[a] < moving[b]
-	})
-	type move struct {
-		id  cdfg.NodeID
-		old int
-	}
-	var undo []move
-	revert := func() {
-		for k := len(undo) - 1; k >= 0; k-- {
-			st.start[undo[k].id] = undo[k].old
-		}
-	}
+	sm := &st.sm
+	moving := append(append(sm.moving[:0], st.fus[i].ops...), st.fus[j].ops...)
+	sm.moving = moving
+	st.sortByStart(moving)
+	sm.undo = sm.undo[:0]
 	// place moves x to the earliest busy- and power-free start in
 	// [lo, T-delay], maintaining the profile and the undo log.
 	place := func(x cdfg.NodeID, lo int, busy []interval) bool {
@@ -839,7 +872,7 @@ func (st *state) ripplePack(i, j int, prof []float64) (func(), bool) {
 		if !found {
 			return false
 		}
-		undo = append(undo, move{x, st.start[x]})
+		sm.undo = append(sm.undo, move{x, st.start[x]})
 		st.start[x] = t
 		if prof != nil {
 			for c := t; c < t+d && c < len(prof); c++ {
@@ -850,7 +883,7 @@ func (st *state) ripplePack(i, j int, prof []float64) (func(), bool) {
 	}
 	// Phase 1: re-pack the union, earliest-fit after live predecessor
 	// finishes, successors unconstrained (the sweep repairs them).
-	busy := make([]interval, 0, len(moving))
+	busy := sm.busy[:0]
 	for _, x := range moving {
 		lo := 0
 		for _, pr := range st.g.Preds(x) {
@@ -859,11 +892,13 @@ func (st *state) ripplePack(i, j int, prof []float64) (func(), bool) {
 			}
 		}
 		if !place(x, lo, busy) {
-			revert()
-			return nil, false
+			sm.busy = busy
+			st.revertMoves()
+			return false
 		}
 		busy = append(busy, interval{st.start[x], st.start[x] + st.delays[x]})
 	}
+	sm.busy = busy
 	// Phase 2: right-shift repair sweep. Only precedence violations move;
 	// every move lands on a free slot of the node's own instance (i and j
 	// count as one), so instance exclusivity is preserved throughout.
@@ -877,23 +912,22 @@ func (st *state) ripplePack(i, j int, prof []float64) (func(), bool) {
 		if st.start[v] >= lo {
 			continue
 		}
-		var group []cdfg.NodeID
-		if f := st.fuOf[v]; f == i || f == j {
-			group = moving
-		} else {
+		group := moving
+		if f := st.fuOf[v]; f != i && f != j {
 			group = st.fus[f].ops
 		}
-		resv := make([]interval, 0, len(group))
+		resv := sm.resv[:0]
 		for _, o := range group {
 			if o == v {
 				continue
 			}
 			resv = append(resv, interval{st.start[o], st.start[o] + st.delays[o]})
 		}
+		sm.resv = resv
 		if !place(v, lo, resv) {
-			revert()
-			return nil, false
+			st.revertMoves()
+			return false
 		}
 	}
-	return revert, true
+	return true
 }

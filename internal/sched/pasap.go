@@ -367,9 +367,10 @@ func ASAP(g *cdfg.Graph, bind Binding) (*Schedule, error) {
 // operations, the one with the longest delay-weighted path to a sink comes
 // first (ties: smallest ID). It returns an error wrapping cdfg.ErrCycle on
 // cyclic graphs. With an arena, all scratch (including the returned order,
-// valid until the next scheduler run) is recycled. Ready extraction uses
-// swap-removal: the (priority, ID) comparator is a strict total order, so
-// the selected sequence is independent of the ready slice's layout.
+// valid until the next scheduler run) is recycled. The ready operations
+// form a binary heap: the (priority, ID) comparator is a strict total
+// order, so the root is always the unique most critical ready operation
+// and the selected sequence is independent of the heap's layout.
 func criticalFirstOrder(g *cdfg.Graph, bind Binding, opts *Options, a *Arena) ([]cdfg.NodeID, error) {
 	topo, err := a.topoFor(g)
 	if err != nil {
@@ -409,23 +410,22 @@ func criticalFirstOrder(g *cdfg.Graph, bind Binding, opts *Options, a *Arena) ([
 			ready = append(ready, cdfg.NodeID(i))
 		}
 	}
+	// ready is a binary heap whose root is the most critical operation.
+	for k := len(ready)/2 - 1; k >= 0; k-- {
+		siftDown(ready, k, prio)
+	}
 	for len(ready) > 0 {
-		bi := 0
-		for k := 1; k < len(ready); k++ {
-			x, b := ready[k], ready[bi]
-			if prio[x] > prio[b] || (prio[x] == prio[b] && x < b) {
-				bi = k
-			}
-		}
-		u := ready[bi]
+		u := ready[0]
 		last := len(ready) - 1
-		ready[bi] = ready[last]
+		ready[0] = ready[last]
 		ready = ready[:last]
+		siftDown(ready, 0, prio)
 		order = append(order, u)
 		for _, v := range g.Succs(u) {
 			indeg[v]--
 			if indeg[v] == 0 {
 				ready = append(ready, v)
+				siftUp(ready, len(ready)-1, prio)
 			}
 		}
 	}
@@ -433,6 +433,43 @@ func criticalFirstOrder(g *cdfg.Graph, bind Binding, opts *Options, a *Arena) ([
 		a.ready, a.order = ready[:0], order
 	}
 	return order, nil
+}
+
+// before is the critical-first order: higher priority first, then the
+// smaller ID. It is a strict total order on node IDs.
+func before(prio []int, x, y cdfg.NodeID) bool {
+	return prio[x] > prio[y] || (prio[x] == prio[y] && x < y)
+}
+
+// siftUp restores the heap order of h (no child before its parent) after
+// h[k] was appended.
+func siftUp(h []cdfg.NodeID, k int, prio []int) {
+	for k > 0 {
+		p := (k - 1) / 2
+		if !before(prio, h[k], h[p]) {
+			return
+		}
+		h[k], h[p] = h[p], h[k]
+		k = p
+	}
+}
+
+// siftDown restores the heap order of h after h[k] was replaced.
+func siftDown(h []cdfg.NodeID, k int, prio []int) {
+	for {
+		c := 2*k + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && before(prio, h[r], h[c]) {
+			c = r
+		}
+		if !before(prio, h[c], h[k]) {
+			return
+		}
+		h[k], h[c] = h[c], h[k]
+		k = c
+	}
 }
 
 // PALAP computes the power-constrained as-late-as-possible schedule under a

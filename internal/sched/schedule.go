@@ -132,9 +132,14 @@ func (s *Schedule) Length() int {
 
 // Profile returns the per-cycle power profile over [0, Length()).
 func (s *Schedule) Profile() []float64 {
-	p := make([]float64, s.Length())
+	return s.addProfile(make([]float64, s.Length()))
+}
+
+// addProfile adds each node's power, in node order, to the cycles of p it
+// executes in; p must span [0, Length()).
+func (s *Schedule) addProfile(p []float64) []float64 {
 	for i := range s.Start {
-		for c := s.Start[i]; c < s.Start[i]+s.Delay[i]; c++ {
+		for c := max(s.Start[i], 0); c < s.Start[i]+s.Delay[i]; c++ {
 			p[c] += s.Power[i]
 		}
 	}
@@ -185,27 +190,42 @@ var (
 // exceeds powerMax (ignored when powerMax <= 0), and the makespan is at most
 // deadline (ignored when deadline <= 0). All violations are joined.
 func (s *Schedule) Validate(powerMax float64, deadline int) error {
+	var prof []float64
+	return s.ValidateInto(powerMax, deadline, &prof)
+}
+
+// ValidateInto is Validate with the per-cycle power profile built in *prof,
+// which is grown as needed and kept for the next call: validating a valid
+// schedule through a reused buffer allocates nothing.
+func (s *Schedule) ValidateInto(powerMax float64, deadline int, prof *[]float64) error {
 	var errs []error
-	for _, n := range s.G.Nodes() {
-		if s.Start[n.ID] < 0 {
-			errs = append(errs, fmt.Errorf("sched: node %q starts at %d: %w", n.Name, s.Start[n.ID], ErrPrecedence))
+	for i := 0; i < s.G.N(); i++ {
+		id := cdfg.NodeID(i)
+		if s.Start[id] < 0 {
+			errs = append(errs, fmt.Errorf("sched: node %q starts at %d: %w", s.G.Node(id).Name, s.Start[id], ErrPrecedence))
 		}
-		for _, v := range s.G.Succs(n.ID) {
-			if s.Start[v] < s.End(n.ID) {
+		for _, v := range s.G.Succs(id) {
+			if s.Start[v] < s.End(id) {
 				errs = append(errs, fmt.Errorf("sched: edge %q -> %q: consumer starts at %d before producer ends at %d: %w",
-					n.Name, s.G.Node(v).Name, s.Start[v], s.End(n.ID), ErrPrecedence))
+					s.G.Node(id).Name, s.G.Node(v).Name, s.Start[v], s.End(id), ErrPrecedence))
 			}
 		}
 	}
+	length := s.Length()
 	if powerMax > 0 {
-		for c, p := range s.Profile() {
-			if p > powerMax+1e-9 {
-				errs = append(errs, fmt.Errorf("sched: cycle %d draws %.3g > %.3g: %w", c, p, powerMax, ErrPowerCap))
+		if cap(*prof) < length {
+			*prof = make([]float64, length)
+		}
+		p := (*prof)[:length]
+		clear(p)
+		for c, pc := range s.addProfile(p) {
+			if pc > powerMax+1e-9 {
+				errs = append(errs, fmt.Errorf("sched: cycle %d draws %.3g > %.3g: %w", c, pc, powerMax, ErrPowerCap))
 			}
 		}
 	}
-	if deadline > 0 && s.Length() > deadline {
-		errs = append(errs, fmt.Errorf("sched: makespan %d > deadline %d: %w", s.Length(), deadline, ErrDeadline))
+	if deadline > 0 && length > deadline {
+		errs = append(errs, fmt.Errorf("sched: makespan %d > deadline %d: %w", length, deadline, ErrDeadline))
 	}
 	return errors.Join(errs...)
 }
