@@ -167,7 +167,7 @@ type Scratch struct {
 	order  []cdfg.NodeID // one instance's ops in start order
 	lts    []Lifetime    // stored values in producer order
 	sorted []Lifetime    // lts in (birth, producer) order
-	count  []int         // counting-sort buckets
+	count  []int         // counting-sort buckets, one per birth cycle
 	// Left-edge result: reg[k] is the register of sorted[k]; each
 	// register's values form a list head[r] -> next[k] -> ... -> -1 in
 	// allocation order; last[r] is the last cycle register r is occupied.
@@ -332,9 +332,11 @@ func (sc *Scratch) leftEdge() {
 	}
 }
 
-// sortByBirth fills sc.sorted with sc.lts stably sorted by birth: a
-// counting sort over the birth range, or a comparison sort when that range
-// is too sparse for buckets to pay.
+// sortByBirth fills sc.sorted with sc.lts stably sorted by birth, by a
+// counting sort with one bucket per cycle of the birth range. Lifetimes of
+// a schedule are born within its length, so there are at most as many
+// buckets as the schedule has cycles. slices.SortStableFunc in its place
+// lowers scale-mix throughput by about 10%.
 func (sc *Scratch) sortByBirth() {
 	sc.sorted = append(sc.sorted[:0], sc.lts...)
 	if len(sc.lts) == 0 {
@@ -343,10 +345,6 @@ func (sc *Scratch) sortByBirth() {
 	lo, hi := sc.lts[0].Birth, sc.lts[0].Birth
 	for _, lt := range sc.lts {
 		lo, hi = min(lo, lt.Birth), max(hi, lt.Birth)
-	}
-	if hi-lo > 4*len(sc.lts)+64 {
-		slices.SortStableFunc(sc.sorted, func(a, b Lifetime) int { return cmp.Compare(a.Birth, b.Birth) })
-		return
 	}
 	sc.count = fill(sc.count, hi-lo+2, 0)
 	for _, lt := range sc.lts {

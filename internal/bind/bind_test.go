@@ -1,8 +1,10 @@
 package bind
 
 import (
+	"cmp"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -138,6 +140,60 @@ func TestQuickLeftEdgeOptimal(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestLeftEdgeMatchesReferenceOnWideBirthRanges checks the counting sort
+// of left-edge where the birth range is far wider than the number of
+// values, negative births included, against a direct left-edge: values in
+// (birth, producer) order, each to the lowest-index register whose last
+// occupant dies before it is born. Producers arrive shuffled.
+func TestLeftEdgeMatchesReferenceOnWideBirthRanges(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(40) + 1
+		span := []int{20, 1 << 10, 1 << 16}[seed%3]
+		lts := make([]Lifetime, n)
+		for i, p := range rng.Perm(n) {
+			birth := rng.Intn(span) - span/2
+			if i > 0 && rng.Intn(4) == 0 {
+				birth = lts[i-1].Birth // shared births exercise the tie-break
+			}
+			lts[i] = Lifetime{Producer: cdfg.NodeID(p), Birth: birth, LastUse: birth + rng.Intn(span/4+1)}
+		}
+		got := LeftEdge(lts)
+		want := referenceLeftEdge(lts)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d (span %d): %d registers, reference %d", seed, span, len(got), len(want))
+		}
+		for r := range want {
+			if !slices.Equal(got[r].Values, want[r].Values) {
+				t.Fatalf("seed %d (span %d): register %d holds %v, reference %v", seed, span, r, got[r].Values, want[r].Values)
+			}
+		}
+	}
+}
+
+func referenceLeftEdge(lifetimes []Lifetime) []Register {
+	sorted := slices.Clone(lifetimes)
+	slices.SortFunc(sorted, func(a, b Lifetime) int {
+		if a.Birth != b.Birth {
+			return cmp.Compare(a.Birth, b.Birth)
+		}
+		return cmp.Compare(a.Producer, b.Producer)
+	})
+	var regs []Register
+	var last []int
+	for _, lt := range sorted {
+		r := slices.IndexFunc(last, func(l int) bool { return l < lt.Birth })
+		if r < 0 {
+			regs = append(regs, Register{})
+			last = append(last, 0)
+			r = len(regs) - 1
+		}
+		regs[r].Values = append(regs[r].Values, lt.Producer)
+		last[r] = lt.LastUse
+	}
+	return regs
 }
 
 // buildTrivial makes one FU per node.
