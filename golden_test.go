@@ -3,37 +3,55 @@ package pchls
 import (
 	"bufio"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"pchls/internal/core"
 	"pchls/internal/explore"
+	"pchls/internal/gen"
 )
 
-// Golden design digests: SHA-256 of Design.JSON() for fixed constraint
+// Golden design digests: SHA-256 of each design for fixed constraint
 // points, checked in under testdata/golden_digests.txt. They anchor byte
 // identity across engine changes as data rather than as a second engine:
 // any change to a schedule, binding, register allocation or area shows up
 // as a digest mismatch.
 //
-// Two sets are covered:
+// The scale and best sets hash Design.JSON() alone (designDigest):
 //   - scale/<tier>: single-pass Synthesize with the auto Config on the
 //     BenchmarkScaling tiers that cross the SDC, partition and min-cut
 //     thresholds, at their published constraint point (scalingPoint).
 //   - best/<bench>/T<deadline>/P<cap>: SynthesizeBest at every cap of the
 //     Figure 2 power grid for the six Figure 2 curves plus fir16, ar,
-//     diffeq2 and fft8 at their fastest-ASAP length + 3. An infeasible
-//     cap is recorded as the digest "infeasible".
+//     diffeq2 and fft8 at their fastest-ASAP length + 3.
 //
-// Under the race detector the grid is checked at every goldenRaceStride-th
-// cap only, which keeps the test's -race time under 30 s on two cores; the
-// plain run checks every cap. On a mismatch the test logs the freshly
-// computed file; an intended output change replaces
-// testdata/golden_digests.txt with it.
+// The remaining sets also hash the report (which renders the decision
+// log) and every decision's Cost bit-exactly (fullDigest):
+//   - single/<bench>/T<deadline>/P<cap>: single-pass Synthesize on the
+//     seven paper benchmarks over goldenGrid.
+//   - unconstrained/<bench>/T<deadline>: single-pass Synthesize without a
+//     power cap at the fastest-ASAP length and 4 cycles beyond it.
+//   - clique/<bench>/T<deadline>/P<cap>: SynthesizeCliquePartition at the
+//     fastest-ASAP length + 3 and 0.8 times the ASAP peak power.
+//   - portfolio/hal/T17/P<cap>: SynthesizeBest on hal at four caps.
+//   - gen/<seed>: single-pass Synthesize on goldenGenSeeds small generated
+//     instances at their own constraint point, with the Config variant
+//     goldenGenConfig picks for the seed.
+//
+// An infeasible point is recorded as the digest "infeasible".
+//
+// Under the race detector the power grid and the generated instances are
+// checked at every goldenRaceStride-th point only, which keeps the test's
+// -race time under 30 s on two cores; the plain run checks every point. On
+// a mismatch the test logs the freshly computed file; an intended output
+// change replaces testdata/golden_digests.txt with it.
 
 const goldenDigestFile = "golden_digests.txt"
 
@@ -49,8 +67,91 @@ var goldenExtraCurves = []string{"fir16", "ar", "diffeq2", "fft8"}
 
 const goldenSlack = 3
 
-// goldenRaceStride thins the power grid under the race detector.
+// goldenRaceStride thins the power grid and the generated instances under
+// the race detector.
 const goldenRaceStride = 5
+
+// goldenBenchmarks are the seven paper benchmarks.
+var goldenBenchmarks = []string{"hal", "cosine", "elliptic", "fir16", "ar", "diffeq2", "fft8"}
+
+// goldenGenSeeds is the number of generated instances (seeds 0 to
+// goldenGenSeeds-1).
+const goldenGenSeeds = 200
+
+// goldenGrid is, per benchmark, the union of the (T, P<) points the
+// exploration surfaces exercise: the Figure 2 power sweep at T = cp+3, the
+// time sweep at P = 0.8*peak and the 3x3 surface grid. The power values
+// are accumulated with the same repeated additions the sweep engine uses,
+// so they are bit-identical to the explored points. The time sweep and
+// the surface share two points; those are listed once.
+func goldenGrid(cp int, peak float64) []Constraints {
+	var grid []Constraints
+	seen := map[Constraints]bool{}
+	add := func(c Constraints) {
+		if !seen[c] {
+			seen[c] = true
+			grid = append(grid, c)
+		}
+	}
+	for p := peak / 4; p <= peak*1.25+1e-9; p += peak / 4 {
+		add(Constraints{Deadline: cp + 3, PowerMax: p})
+	}
+	for T := cp; T <= cp+4; T += 2 {
+		add(Constraints{Deadline: T, PowerMax: peak * 0.8})
+	}
+	for _, T := range []int{cp, cp + 2, cp + 5} {
+		for _, p := range []float64{peak * 0.5, peak * 0.8, peak * 1.1} {
+			add(Constraints{Deadline: T, PowerMax: p})
+		}
+	}
+	return grid
+}
+
+// goldenGenInstance is the seed'th small generated instance: 4 to 33
+// computation nodes, with the op mix, library richness and voltage levels
+// cycling with the seed.
+func goldenGenInstance(seed int64) gen.Instance {
+	return gen.NewInstance(seed, gen.InstanceConfig{
+		Graph: gen.GraphConfig{
+			Nodes:       4 + int(seed%30),
+			MaxWidth:    2 + int(seed%3),
+			EdgeDensity: 0.3 + 0.15*float64(seed%5),
+			MulFraction: 0.15 + 0.1*float64(seed%4),
+			CmpFraction: 0.1,
+		},
+		Library: gen.LibraryConfig{
+			ModulesPerOp: 1 + int(seed%3),
+			DelayMax:     1 + int(seed%4),
+			ALUChance:    float64(seed%2) * 0.5,
+			Levels:       1 + int(seed%3),
+		},
+	})
+}
+
+// goldenGenConfig cycles the generated instances through the plain search,
+// a seeded perturbation, palap-end placement and the skipped area descent.
+func goldenGenConfig(seed int64) Config {
+	switch seed % 4 {
+	case 1:
+		return Config{Perturb: core.Perturb{Seed: seed, Jitter: 0.2, ShuffleTies: true}}
+	case 2:
+		return Config{Perturb: core.Perturb{PlaceLate: true}}
+	case 3:
+		return Config{SkipAreaDescent: true}
+	}
+	return Config{}
+}
+
+// fastestASAP returns the critical path and peak power of g's ASAP
+// schedule under the fastest modules.
+func fastestASAP(t *testing.T, g *Graph, lib *Library) (int, float64) {
+	t.Helper()
+	asap, err := ASAP(g, UniformFastest(lib))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return asap.Length(), asap.PeakPower()
+}
 
 // goldenCase computes the digests of one group of golden entries.
 type goldenCase struct {
@@ -100,6 +201,7 @@ func goldenCases(t *testing.T) []goldenCase {
 	}
 	pmin, pmax, step := explore.DefaultGrid()
 	for _, c := range curves {
+		c := c
 		prefix := fmt.Sprintf("best/%s/T%d", c.name, c.deadline)
 		cases = append(cases, goldenCase{prefix, func(t *testing.T) []goldenEntry {
 			g, err := Benchmark(c.name)
@@ -117,6 +219,48 @@ func goldenCases(t *testing.T) []goldenCase {
 			return out
 		}})
 	}
+	for _, name := range goldenBenchmarks {
+		name := name
+		g, err := Benchmark(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, peak := fastestASAP(t, g, lib)
+		cases = append(cases, goldenCase{"single/" + name, func(t *testing.T) []goldenEntry {
+			var out []goldenEntry
+			for _, cons := range goldenGrid(cp, peak) {
+				d, err := Synthesize(g, lib, cons, Config{})
+				out = append(out, goldenEntry{fmt.Sprintf("single/%s/T%d/P%g", name, cons.Deadline, cons.PowerMax), fullDigest(t, d, err)})
+			}
+			for _, T := range []int{cp, cp + 4} {
+				d, err := Synthesize(g, lib, Constraints{Deadline: T}, Config{})
+				out = append(out, goldenEntry{fmt.Sprintf("unconstrained/%s/T%d", name, T), fullDigest(t, d, err)})
+			}
+			cons := Constraints{Deadline: cp + 3, PowerMax: peak * 0.8}
+			d, err := SynthesizeCliquePartition(g, lib, cons, Config{})
+			return append(out, goldenEntry{fmt.Sprintf("clique/%s/T%d/P%g", name, cons.Deadline, cons.PowerMax), fullDigest(t, d, err)})
+		}})
+	}
+	cases = append(cases, goldenCase{"portfolio/hal", func(t *testing.T) []goldenEntry {
+		var out []goldenEntry
+		for _, p := range []float64{5, 10, 20, 30} {
+			d, err := SynthesizeBest(MustBenchmark("hal"), lib, Constraints{Deadline: 17, PowerMax: p}, Config{})
+			out = append(out, goldenEntry{fmt.Sprintf("portfolio/hal/T17/P%g", p), fullDigest(t, d, err)})
+		}
+		return out
+	}})
+	cases = append(cases, goldenCase{"gen", func(t *testing.T) []goldenEntry {
+		var out []goldenEntry
+		for seed := int64(0); seed < goldenGenSeeds; seed++ {
+			if raceEnabled && seed%goldenRaceStride != 0 {
+				continue
+			}
+			inst := goldenGenInstance(seed)
+			d, err := Synthesize(inst.Graph, inst.Library, Constraints{Deadline: inst.Deadline, PowerMax: inst.PowerMax}, goldenGenConfig(seed))
+			out = append(out, goldenEntry{fmt.Sprintf("gen/%d", seed), fullDigest(t, d, err)})
+		}
+		return out
+	}})
 	return cases
 }
 
@@ -136,6 +280,32 @@ func designDigest(t *testing.T, d *Design, err error) string {
 	}
 	sum := sha256.Sum256(js)
 	return hex.EncodeToString(sum[:])
+}
+
+// fullDigest is the hex SHA-256 of the design's JSON, its report and the
+// IEEE-754 bits of every decision's Cost, or "infeasible" when synthesis
+// failed with ErrInfeasible.
+func fullDigest(t *testing.T, d *Design, err error) string {
+	t.Helper()
+	if errors.Is(err, ErrInfeasible) {
+		return "infeasible"
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := d.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	h.Write(js)
+	h.Write([]byte(d.Report()))
+	var b [8]byte
+	for _, dec := range d.Decisions {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(dec.Cost))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // readGoldenDigests parses "name digest" lines.
