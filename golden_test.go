@@ -47,8 +47,8 @@ import (
 //
 // An infeasible point is recorded as the digest "infeasible".
 //
-// Under the race detector the power grid and the generated instances are
-// checked at every goldenRaceStride-th point only, which keeps the test's
+// Under the race detector the best/ power grid and the generated instances
+// are checked at every goldenRaceStride-th point only, which keeps the test's
 // -race time under 30 s on two cores; the plain run checks every point. On
 // a mismatch the test logs the freshly computed file; an intended output
 // change replaces testdata/golden_digests.txt with it.
@@ -67,8 +67,8 @@ var goldenExtraCurves = []string{"fir16", "ar", "diffeq2", "fft8"}
 
 const goldenSlack = 3
 
-// goldenRaceStride thins the power grid and the generated instances under
-// the race detector.
+// goldenRaceStride thins the best/ power grid and the generated instances
+// under the race detector.
 const goldenRaceStride = 5
 
 // goldenBenchmarks are the seven paper benchmarks.
@@ -201,7 +201,6 @@ func goldenCases(t *testing.T) []goldenCase {
 	}
 	pmin, pmax, step := explore.DefaultGrid()
 	for _, c := range curves {
-		c := c
 		prefix := fmt.Sprintf("best/%s/T%d", c.name, c.deadline)
 		cases = append(cases, goldenCase{prefix, func(t *testing.T) []goldenEntry {
 			g, err := Benchmark(c.name)
@@ -219,28 +218,50 @@ func goldenCases(t *testing.T) []goldenCase {
 			return out
 		}})
 	}
+	type paper struct {
+		name string
+		g    *Graph
+		cp   int
+		peak float64
+	}
+	var papers []paper
 	for _, name := range goldenBenchmarks {
-		name := name
 		g, err := Benchmark(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cp, peak := fastestASAP(t, g, lib)
-		cases = append(cases, goldenCase{"single/" + name, func(t *testing.T) []goldenEntry {
+		papers = append(papers, paper{name, g, cp, peak})
+	}
+	for _, b := range papers {
+		cases = append(cases, goldenCase{"single/" + b.name, func(t *testing.T) []goldenEntry {
 			var out []goldenEntry
-			for _, cons := range goldenGrid(cp, peak) {
-				d, err := Synthesize(g, lib, cons, Config{})
-				out = append(out, goldenEntry{fmt.Sprintf("single/%s/T%d/P%g", name, cons.Deadline, cons.PowerMax), fullDigest(t, d, err)})
+			for _, cons := range goldenGrid(b.cp, b.peak) {
+				d, err := Synthesize(b.g, lib, cons, Config{})
+				out = append(out, goldenEntry{fmt.Sprintf("single/%s/T%d/P%g", b.name, cons.Deadline, cons.PowerMax), fullDigest(t, d, err)})
 			}
-			for _, T := range []int{cp, cp + 4} {
-				d, err := Synthesize(g, lib, Constraints{Deadline: T}, Config{})
-				out = append(out, goldenEntry{fmt.Sprintf("unconstrained/%s/T%d", name, T), fullDigest(t, d, err)})
-			}
-			cons := Constraints{Deadline: cp + 3, PowerMax: peak * 0.8}
-			d, err := SynthesizeCliquePartition(g, lib, cons, Config{})
-			return append(out, goldenEntry{fmt.Sprintf("clique/%s/T%d/P%g", name, cons.Deadline, cons.PowerMax), fullDigest(t, d, err)})
+			return out
 		}})
 	}
+	cases = append(cases, goldenCase{"unconstrained", func(t *testing.T) []goldenEntry {
+		var out []goldenEntry
+		for _, b := range papers {
+			for _, T := range []int{b.cp, b.cp + 4} {
+				d, err := Synthesize(b.g, lib, Constraints{Deadline: T}, Config{})
+				out = append(out, goldenEntry{fmt.Sprintf("unconstrained/%s/T%d", b.name, T), fullDigest(t, d, err)})
+			}
+		}
+		return out
+	}})
+	cases = append(cases, goldenCase{"clique", func(t *testing.T) []goldenEntry {
+		var out []goldenEntry
+		for _, b := range papers {
+			cons := Constraints{Deadline: b.cp + 3, PowerMax: b.peak * 0.8}
+			d, err := SynthesizeCliquePartition(b.g, lib, cons, Config{})
+			out = append(out, goldenEntry{fmt.Sprintf("clique/%s/T%d/P%g", b.name, cons.Deadline, cons.PowerMax), fullDigest(t, d, err)})
+		}
+		return out
+	}})
 	cases = append(cases, goldenCase{"portfolio/hal", func(t *testing.T) []goldenEntry {
 		var out []goldenEntry
 		for _, p := range []float64{5, 10, 20, 30} {

@@ -16,9 +16,8 @@ import (
 // of every input that can change the response bytes — the CDFG (node
 // names, operations and edges in ID order), the module library
 // (declaration order), the constraints and the algorithm selection.
-// Inputs that provably cannot change the result — worker counts, the
-// incremental-engine toggle (byte-identical by the PR 2 equivalence
-// gate) — are deliberately excluded so they share cache entries.
+// Inputs that provably cannot change the result, such as worker counts,
+// are deliberately excluded so they share cache entries.
 //
 // The same addresses shard work across a cluster (internal/cluster):
 // consistent hashing on the content address routes identical points to

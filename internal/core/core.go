@@ -72,8 +72,7 @@ type WindowPolicy int
 const (
 	// WindowsAuto (the zero value) derives windows exhaustively for small
 	// graphs and switches to the SDC difference-constraint bounds at
-	// sdcGraphNodes, the same way smallGraphNodes gates the incremental
-	// engine.
+	// sdcGraphNodes.
 	WindowsAuto WindowPolicy = iota
 	// WindowsExhaustive forces the per-candidate pasap/palap pairs
 	// regardless of size — the pre-refactor path, kept as the oracle.
@@ -113,14 +112,6 @@ type Config struct {
 	// (for the ablation experiments and as a portfolio variant): module
 	// assumptions then stay at the fastest power-feasible choice.
 	SkipAreaDescent bool
-	// DisableIncremental turns off the incremental evaluation engine
-	// (window cache, incrementally maintained power profile and
-	// reservation lists) and recomputes everything from scratch each
-	// iteration, as the original implementation did — for the ablation
-	// experiments and the golden equivalence tests, mirroring
-	// DisableRepair. The synthesized design is byte-identical either way;
-	// only the work performed (see Stats) differs.
-	DisableIncremental bool
 	// Workers bounds how many independent synthesis runs SynthesizeBest's
 	// portfolio and peak-shaving ladder evaluate concurrently: 0 uses
 	// GOMAXPROCS, 1 keeps the legacy serial path. The returned design is
@@ -253,8 +244,8 @@ type state struct {
 	// instances, maintained by commit/uncommit for the AreaBound cut.
 	fuAreaCommitted float64
 
-	// eng holds the incremental caches; nil when cfg.DisableIncremental
-	// selects the legacy recompute-everything path.
+	// eng holds the incremental caches (window cache, power profile and
+	// reservation lists).
 	eng   *engine
 	stats Stats
 
@@ -285,8 +276,6 @@ type state struct {
 	wins         []sched.Window // flat (node, module) candidate windows
 	winSet       []bool         //   parallel presence bits
 	potential    []int          // per-module uncommitted-implementer counts
-	profScratch  []float64      // legacy committedProfile scratch
-	busyA, busyB []interval     // reservation-list scratch (legacy path)
 	cm           bind.CostModel
 
 	// evaluate's scratch: a schedule view aliasing start/delays/powers,
@@ -381,8 +370,8 @@ type instance struct {
 }
 
 // newState validates the inputs and builds the synthesizer's working
-// state with the initial (fastest power-feasible) module assumptions and,
-// unless disabled, the incremental evaluation engine.
+// state with the initial (fastest power-feasible) module assumptions and
+// the incremental evaluation engine.
 func newState(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Config) (*state, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid graph: %w", err)
@@ -414,13 +403,11 @@ func newState(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Config)
 		st.moduleOf[n.ID] = mi
 	}
 	st.initTables()
-	if !cfg.DisableIncremental {
-		eng, err := newEngine(st)
-		if err != nil {
-			return nil, err
-		}
-		st.eng = eng
+	eng, err := newEngine(st)
+	if err != nil {
+		return nil, err
 	}
+	st.eng = eng
 	if st.sdc = useSDC(g, cfg); st.sdc {
 		topo, err := g.TopoOrder()
 		if err != nil {
@@ -438,25 +425,10 @@ func newState(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Config)
 	return st, nil
 }
 
-// smallGraphNodes gates the incremental engine by graph size: below this
-// many nodes the legacy recompute-everything path is selected even when
-// the engine is enabled. On tiny graphs a full scheduler run is only a few
-// microseconds, so the engine's fixed per-commit work (validity filtering,
-// dirty-set fixpoint, audit) costs more than the runs it saves — measured
-// on hal (20 nodes), the engine cuts runs 39% yet loses wall-clock. Both
-// paths are proven byte-identical by the golden equivalence tests, so the
-// selection is output-neutral; only Stats differ. See DESIGN.md §7.
-const smallGraphNodes = 24
-
-// useEngine reports whether the incremental engine should run for g.
-func useEngine(g *cdfg.Graph, cfg Config) bool {
-	return !cfg.DisableIncremental && g.N() >= smallGraphNodes
-}
-
-// sdcGraphNodes gates the SDC window derivation by graph size, the way
-// smallGraphNodes gates the engine: below this many nodes the exhaustive
-// pasap/palap windows are exact and cheap, and their extra tightness
-// (they encode the power cap; the SDC bounds do not) is worth keeping.
+// sdcGraphNodes gates the SDC window derivation by graph size: below this
+// many nodes the exhaustive pasap/palap windows are exact and cheap, and
+// their extra tightness (they encode the power cap; the SDC bounds do
+// not) is worth keeping.
 // Above it the per-candidate scheduler pairs are the dominant cost and the
 // relaxed windows win. All seven classic benchmarks are far below the
 // threshold, so the paper-faithful path is untouched. See DESIGN.md §13.
@@ -520,7 +492,6 @@ func Synthesize(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Confi
 	if err != nil {
 		return nil, err
 	}
-	cfg.DisableIncremental = !useEngine(g, cfg)
 	if usePartition(g, cfg) {
 		return synthesizePartitioned(g, lib, cons, cfg)
 	}
@@ -784,27 +755,6 @@ func (st *state) currentPASAP() (*sched.Schedule, error) {
 	return s, nil
 }
 
-// windowFor computes the power-feasible mobility window of node v when
-// bound to module mi, under the current committed state. ok=false means
-// the candidate is infeasible.
-func (st *state) windowFor(v cdfg.NodeID, mi int) (sched.Window, bool) {
-	if st.locked {
-		if mi != st.moduleOf[v] {
-			return sched.Window{}, false
-		}
-		return sched.Window{Early: st.start[v], Late: st.start[v]}, true
-	}
-	early, late, ok := st.windowSchedsFor(v, mi)
-	if !ok {
-		return sched.Window{}, false
-	}
-	w := sched.Window{Early: early.Start[v], Late: late.Start[v]}
-	if w.Width() < 1 {
-		return sched.Window{}, false
-	}
-	return w, true
-}
-
 // windowSchedsFor runs the override pasap/palap pair for candidate
 // (v, mi) and returns both schedules — the engine caches their full
 // start arrays to prove entries valid across later commitments.
@@ -836,39 +786,6 @@ func (st *state) windowSchedsFor(v cdfg.NodeID, mi int) (early, late *sched.Sche
 	return early, late, true
 }
 
-// committedProfile returns the per-cycle power drawn by committed
-// operations over [0, horizon).
-func (st *state) committedProfile(horizon int) []float64 {
-	return st.fillCommittedProfile(make([]float64, horizon))
-}
-
-// committedProfileScratch is committedProfile into the state's recycled
-// buffer — the legacy path probes it on every freeSlot call, so the hot
-// loop must not allocate. The result is valid until the next call.
-func (st *state) committedProfileScratch(horizon int) []float64 {
-	if cap(st.profScratch) < horizon {
-		st.profScratch = make([]float64, horizon)
-	}
-	p := st.profScratch[:horizon]
-	for c := range p {
-		p[c] = 0
-	}
-	return st.fillCommittedProfile(p)
-}
-
-func (st *state) fillCommittedProfile(p []float64) []float64 {
-	horizon := len(p)
-	for i, c := range st.committed {
-		if !c {
-			continue
-		}
-		for cyc := st.start[i]; cyc < st.start[i]+st.delays[i] && cyc < horizon; cyc++ {
-			p[cyc] += st.powers[i]
-		}
-	}
-	return p
-}
-
 // commit applies a decision.
 func (st *state) commit(d Decision) {
 	mi := st.moduleIndexOf(d)
@@ -882,21 +799,17 @@ func (st *state) commit(d Decision) {
 	st.fuOf[d.Node] = d.FU
 	st.fus[d.FU].ops = append(st.fus[d.FU].ops, d.Node)
 	st.decisions = append(st.decisions, d)
-	if st.eng != nil {
-		st.eng.applyCommit(d, st.lib.Module(mi))
-	}
+	st.eng.applyCommit(d, st.lib.Module(mi))
 }
 
 // uncommit reverts the most recent decision (must be d).
 func (st *state) uncommit(d Decision) {
-	if st.eng != nil {
-		// Revert before the module assumption is restored: the profile
-		// entry was made with the committed module. A backtrack changes
-		// placements non-locally, so the window cache is dropped whole.
-		st.eng.revertCommit(d, st.lib.Module(st.moduleOf[d.Node]))
-		st.eng.invalidateWindows()
-		st.stats.FullInvalidations++
-	}
+	// Revert before the module assumption is restored: the profile entry
+	// was made with the committed module. A backtrack changes placements
+	// non-locally, so the window cache is dropped whole.
+	st.eng.revertCommit(d, st.lib.Module(st.moduleOf[d.Node]))
+	st.eng.invalidateWindows()
+	st.stats.FullInvalidations++
 	st.committed[d.Node] = false
 	st.fuOf[d.Node] = -1
 	f := &st.fus[d.FU]
@@ -929,9 +842,6 @@ func (st *state) uncommit(d Decision) {
 // no scheduler run at all, otherwise the commitment's disturbance is
 // folded into the dirty set for the pinned re-derivation.
 func (st *state) noteProbe(d Decision, probe *sched.Schedule) {
-	if st.eng == nil {
-		return
-	}
 	eng := st.eng
 	if eng.warm {
 		u, s := int(d.Node), d.Start

@@ -32,6 +32,11 @@ func newTestState(t *testing.T, g *cdfg.Graph, cons Constraints) *state {
 		st.moduleOf[n.ID] = mi
 	}
 	st.initTables()
+	eng, err := newEngine(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.eng = eng
 	return st
 }
 
@@ -123,8 +128,7 @@ func TestFreeSlot(t *testing.T) {
 	// Power-blocked: commit an op drawing 8.1 at cycles 0-1, cap 10.
 	st.cons.PowerMax = 10
 	mul := g.NodesOf(cdfg.Mul)[0]
-	st.committed[mul] = true
-	st.start[mul] = 0
+	st.commit(Decision{Node: mul, Module: st.lib.Module(st.moduleOf[mul]).Name, FU: 0, NewFU: true, Start: 0})
 	if tt, ok := st.freeSlot(nil, sched.Window{Early: 0, Late: 6}, 1, 8.1); !ok || tt != 2 {
 		t.Fatalf("power-blocked freeSlot = %d, %v; want 2", tt, ok)
 	}

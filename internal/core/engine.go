@@ -26,11 +26,9 @@ type winEntry struct {
 // engine owns the synthesizer's cached, invalidation-tracked artifacts:
 // the committed per-cycle power profile (updated in O(delay) on
 // commit/backtrack), the per-instance reservation lists, and the window
-// cache with its dirty set. The legacy recompute-everything path
-// (Config.DisableIncremental) runs with a nil engine; the synthesized
-// design is byte-identical either way — the window cache is audited
-// against a full pasap probe every iteration and falls back to the full
-// derivation on any disagreement.
+// cache with its dirty set. Every synthesis state owns one. The window
+// cache is audited against a full pasap probe every iteration and falls
+// back to the full derivation on any disagreement.
 type engine struct {
 	// horizon is the profile length (the latency constraint T).
 	horizon int

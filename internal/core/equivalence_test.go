@@ -42,108 +42,43 @@ func goldenGrid(cp int, peak float64) []Constraints {
 // requireSameDesign compares two synthesis outcomes for byte-identical
 // equivalence: same error disposition, identical serialized design,
 // identical decision log, identical report.
-func requireSameDesign(t *testing.T, label string, inc, legacy *Design, incErr, legacyErr error) {
+func requireSameDesign(t *testing.T, label string, a, b *Design, aErr, bErr error) {
 	t.Helper()
-	if (incErr != nil) != (legacyErr != nil) {
-		t.Fatalf("%s: error disposition diverges:\n  incremental: %v\n  legacy:      %v", label, incErr, legacyErr)
+	if (aErr != nil) != (bErr != nil) {
+		t.Fatalf("%s: error disposition diverges:\n  first:  %v\n  second: %v", label, aErr, bErr)
 	}
-	if incErr != nil {
+	if aErr != nil {
 		return
 	}
-	ij, err := inc.JSON()
+	aj, err := a.JSON()
 	if err != nil {
-		t.Fatalf("%s: incremental JSON: %v", label, err)
+		t.Fatalf("%s: first JSON: %v", label, err)
 	}
-	lj, err := legacy.JSON()
+	bj, err := b.JSON()
 	if err != nil {
-		t.Fatalf("%s: legacy JSON: %v", label, err)
+		t.Fatalf("%s: second JSON: %v", label, err)
 	}
-	if !bytes.Equal(ij, lj) {
-		t.Fatalf("%s: serialized designs diverge:\n--- incremental ---\n%s\n--- legacy ---\n%s", label, ij, lj)
+	if !bytes.Equal(aj, bj) {
+		t.Fatalf("%s: serialized designs diverge:\n--- first ---\n%s\n--- second ---\n%s", label, aj, bj)
 	}
-	if !reflect.DeepEqual(inc.Decisions, legacy.Decisions) {
-		t.Fatalf("%s: decision logs diverge:\n  incremental: %+v\n  legacy:      %+v", label, inc.Decisions, legacy.Decisions)
+	if !reflect.DeepEqual(a.Decisions, b.Decisions) {
+		t.Fatalf("%s: decision logs diverge:\n  first:  %+v\n  second: %+v", label, a.Decisions, b.Decisions)
 	}
-	if ir, lr := inc.Report(), legacy.Report(); ir != lr {
-		t.Fatalf("%s: reports diverge:\n--- incremental ---\n%s\n--- legacy ---\n%s", label, ir, lr)
-	}
-}
-
-// TestGoldenEquivalence gates the incremental evaluation engine: for
-// every benchmark × (T, P<) grid point exercised by the exploration
-// test surfaces, the engine and the DisableIncremental legacy path must
-// produce byte-identical serialized designs and decision logs (or fail
-// identically).
-func TestGoldenEquivalence(t *testing.T) {
-	lib := library.Table1()
-	for _, name := range goldenBenchmarks {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			g, err := bench.ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			asap, err := sched.ASAP(g, sched.UniformFastest(lib))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, cons := range goldenGrid(asap.Length(), asap.PeakPower()) {
-				label := fmt.Sprintf("%s T=%d P<=%g", name, cons.Deadline, cons.PowerMax)
-				inc, incErr := Synthesize(g, lib, cons, Config{})
-				legacy, legacyErr := Synthesize(g, lib, cons, Config{DisableIncremental: true})
-				requireSameDesign(t, label, inc, legacy, incErr, legacyErr)
-			}
-		})
+	if ar, br := a.Report(), b.Report(); ar != br {
+		t.Fatalf("%s: reports diverge:\n--- first ---\n%s\n--- second ---\n%s", label, ar, br)
 	}
 }
 
-// TestGoldenEquivalenceUnconstrained covers the PowerMax <= 0 regime,
-// where the invalidation rule is purely precedence-based.
-func TestGoldenEquivalenceUnconstrained(t *testing.T) {
-	lib := library.Table1()
-	for _, name := range goldenBenchmarks {
-		g, err := bench.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		asap, err := sched.ASAP(g, sched.UniformFastest(lib))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, T := range []int{asap.Length(), asap.Length() + 4} {
-			cons := Constraints{Deadline: T}
-			label := fmt.Sprintf("%s T=%d unconstrained", name, T)
-			inc, incErr := Synthesize(g, lib, cons, Config{})
-			legacy, legacyErr := Synthesize(g, lib, cons, Config{DisableIncremental: true})
-			requireSameDesign(t, label, inc, legacy, incErr, legacyErr)
-		}
-	}
-}
-
-// TestGoldenEquivalencePortfolio runs the SynthesizeBest meta-heuristic
-// (portfolio + peak-shaving ladder) on both paths: every internal run
-// must agree, so the winning design must too.
-func TestGoldenEquivalencePortfolio(t *testing.T) {
-	lib := library.Table1()
-	g := bench.HAL()
-	for _, p := range []float64{5, 10, 20, 30} {
-		cons := Constraints{Deadline: 17, PowerMax: p}
-		label := fmt.Sprintf("hal best T=17 P<=%g", p)
-		inc, incErr := SynthesizeBest(g, lib, cons, Config{})
-		legacy, legacyErr := SynthesizeBest(g, lib, cons, Config{DisableIncremental: true})
-		requireSameDesign(t, label, inc, legacy, incErr, legacyErr)
-	}
-}
-
-// TestGoldenEquivalenceParallelGrid replays the full benchmark × grid
-// equivalence matrix with every point synthesized concurrently (both the
-// incremental and the legacy path inside each worker), sharing one graph
-// and one library across all workers, and requires the results to be
-// byte-identical to a serial rerun. This is the aliasing gate for the
-// scratch-reuse optimizations: per-state arenas, flat window tables and
-// lookup slices must never leak between concurrent syntheses. Run under
-// -race this emulates what Sweep/ExploreSurface do through runner.Map
-// (the facade itself cannot be imported here without a cycle).
+// TestGoldenEquivalenceParallelGrid synthesizes every benchmark × grid
+// point concurrently, sharing one graph and one library across all
+// workers, and requires the results to be byte-identical to a serial
+// rerun. This is the aliasing gate for the scratch-reuse optimizations:
+// per-state arenas, flat window tables, the engine's caches and lookup
+// slices must never leak between concurrent syntheses. Run under -race
+// this emulates what Sweep/ExploreSurface do through runner.Map (the
+// facade itself cannot be imported here without a cycle). The designs
+// themselves are pinned by the root package's golden digests
+// (single/<bench> in testdata/golden_digests.txt).
 func TestGoldenEquivalenceParallelGrid(t *testing.T) {
 	lib := library.Table1()
 	type point struct {
@@ -166,25 +101,18 @@ func TestGoldenEquivalenceParallelGrid(t *testing.T) {
 		}
 	}
 	type outcome struct {
-		incJSON, legacyJSON []byte
-		incErr, legacyErr   error
+		json []byte
+		err  error
 	}
 	run := func(workers int) []outcome {
 		res, err := runner.Map(context.Background(), len(points), runner.Config{Workers: workers},
 			func(_ context.Context, i int) (outcome, error) {
 				p := points[i]
 				var o outcome
-				var inc, legacy *Design
-				inc, o.incErr = Synthesize(p.g, lib, p.cons, Config{})
-				legacy, o.legacyErr = Synthesize(p.g, lib, p.cons, Config{DisableIncremental: true})
-				if o.incErr == nil {
-					if o.incJSON, o.incErr = inc.JSON(); o.incErr != nil {
-						return o, o.incErr
-					}
-				}
-				if o.legacyErr == nil {
-					if o.legacyJSON, o.legacyErr = legacy.JSON(); o.legacyErr != nil {
-						return o, o.legacyErr
+				var d *Design
+				if d, o.err = Synthesize(p.g, lib, p.cons, Config{}); o.err == nil {
+					if o.json, o.err = d.JSON(); o.err != nil {
+						return o, o.err
 					}
 				}
 				return o, nil
@@ -198,41 +126,11 @@ func TestGoldenEquivalenceParallelGrid(t *testing.T) {
 	serial := run(1)
 	for i, p := range points {
 		label := fmt.Sprintf("%s T=%d P<=%g", p.name, p.cons.Deadline, p.cons.PowerMax)
-		if (parallel[i].incErr != nil) != (serial[i].incErr != nil) ||
-			(parallel[i].legacyErr != nil) != (serial[i].legacyErr != nil) {
-			t.Fatalf("%s: parallel/serial error disposition diverges: %v/%v vs %v/%v",
-				label, parallel[i].incErr, parallel[i].legacyErr, serial[i].incErr, serial[i].legacyErr)
+		if (parallel[i].err != nil) != (serial[i].err != nil) {
+			t.Fatalf("%s: parallel/serial error disposition diverges: %v vs %v", label, parallel[i].err, serial[i].err)
 		}
-		if !bytes.Equal(parallel[i].incJSON, serial[i].incJSON) {
-			t.Fatalf("%s: incremental design differs between parallel and serial run", label)
+		if !bytes.Equal(parallel[i].json, serial[i].json) {
+			t.Fatalf("%s: design differs between parallel and serial run", label)
 		}
-		if !bytes.Equal(parallel[i].legacyJSON, serial[i].legacyJSON) {
-			t.Fatalf("%s: legacy design differs between parallel and serial run", label)
-		}
-		if parallel[i].incErr == nil && !bytes.Equal(parallel[i].incJSON, parallel[i].legacyJSON) {
-			t.Fatalf("%s: incremental and legacy designs diverge under concurrency", label)
-		}
-	}
-}
-
-// TestGoldenEquivalenceCliqueMode pins the static clique-partitioning
-// baseline, whose merge pass now runs over the engine's incrementally
-// maintained reservation lists.
-func TestGoldenEquivalenceCliqueMode(t *testing.T) {
-	lib := library.Table1()
-	for _, name := range goldenBenchmarks {
-		g, err := bench.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		asap, err := sched.ASAP(g, sched.UniformFastest(lib))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cons := Constraints{Deadline: asap.Length() + 3, PowerMax: asap.PeakPower() * 0.8}
-		label := fmt.Sprintf("%s clique T=%d P<=%g", name, cons.Deadline, cons.PowerMax)
-		inc, incErr := SynthesizeCliquePartition(g, lib, cons, Config{})
-		legacy, legacyErr := SynthesizeCliquePartition(g, lib, cons, Config{DisableIncremental: true})
-		requireSameDesign(t, label, inc, legacy, incErr, legacyErr)
 	}
 }

@@ -154,11 +154,9 @@ func (st *state) mergePass() {
 }
 
 // overlaps reports whether any reservation of instance i overlaps one of j.
-// The two reservation lists are read simultaneously, so each gets its own
-// scratch buffer on the legacy path.
 func (st *state) overlaps(i, j int) bool {
-	for _, a := range st.reservationsInto(i, &st.busyA) {
-		for _, b := range st.reservationsInto(j, &st.busyB) {
+	for _, a := range st.eng.resv[i] {
+		for _, b := range st.eng.resv[j] {
 			if a.s < b.e && b.s < a.e {
 				return true
 			}
@@ -182,11 +180,9 @@ func (st *state) mergeFUs(i, j int) fuMerge {
 	m := fuMerge{i: i, j: j, iOps: len(st.fus[i].ops), j0: st.fus[j]}
 	st.fus[i].ops = append(st.fus[i].ops, st.fus[j].ops...)
 	st.fus = slices.Delete(st.fus, j, j+1)
-	if st.eng != nil {
-		m.iResv, m.jResv = len(st.eng.resv[i]), st.eng.resv[j]
-		st.eng.resv[i] = append(st.eng.resv[i], st.eng.resv[j]...)
-		st.eng.resv = slices.Delete(st.eng.resv, j, j+1)
-	}
+	m.iResv, m.jResv = len(st.eng.resv[i]), st.eng.resv[j]
+	st.eng.resv[i] = append(st.eng.resv[i], st.eng.resv[j]...)
+	st.eng.resv = slices.Delete(st.eng.resv, j, j+1)
 	for n := range st.fuOf {
 		switch {
 		case st.fuOf[n] == j:
@@ -211,8 +207,6 @@ func (st *state) unmergeFUs(m fuMerge) {
 	}
 	st.fus[m.i].ops = st.fus[m.i].ops[:m.iOps]
 	st.fus = slices.Insert(st.fus, m.j, m.j0)
-	if st.eng != nil {
-		st.eng.resv[m.i] = st.eng.resv[m.i][:m.iResv]
-		st.eng.resv = slices.Insert(st.eng.resv, m.j, m.jResv)
-	}
+	st.eng.resv[m.i] = st.eng.resv[m.i][:m.iResv]
+	st.eng.resv = slices.Insert(st.eng.resv, m.j, m.jResv)
 }

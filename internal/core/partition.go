@@ -479,9 +479,7 @@ func stitchState(g *cdfg.Graph, lib *library.Library, cons Constraints, cfg Conf
 		st.stats = st.stats.Add(d.Stats)
 		st.stats.Regions++
 	}
-	if st.eng != nil {
-		st.eng.rebuild(st)
-	}
+	st.eng.rebuild(st)
 	return st, nil
 }
 
@@ -624,8 +622,8 @@ func (st *state) tryShiftMerge(i, j int, cur float64) (float64, bool) {
 	sm.iOps = append(sm.iOps[:0], st.fus[i].ops...)
 	sm.jOps = append(sm.jOps[:0], st.fus[j].ops...)
 	sm.union = append(append(sm.union[:0], sm.iOps...), sm.jOps...)
-	sm.iResv = append(sm.iResv[:0], st.reservationsInto(i, &st.busyA)...)
-	sm.jResv = append(sm.jResv[:0], st.reservationsInto(j, &st.busyA)...)
+	sm.iResv = append(sm.iResv[:0], st.eng.resv[i]...)
+	sm.jResv = append(sm.jResv[:0], st.eng.resv[j]...)
 	iOps, jOps, union, iResv, jResv := sm.iOps, sm.jOps, sm.union, sm.iResv, sm.jResv
 	mi, mj := st.fus[i].module, st.fus[j].module
 	type attempt struct {
@@ -657,19 +655,14 @@ func (st *state) tryShiftMerge(i, j int, cur float64) (float64, bool) {
 				attempt{iOps, mj, union, nil, true})
 		}
 	}
-	// Committed per-cycle power at entry, copied once per call: straight
-	// from the engine's incrementally maintained profile when it is live,
-	// rebuilt from the committed starts otherwise. Each attempt below works
+	// Committed per-cycle power at entry, copied once per call from the
+	// engine's incrementally maintained profile. Each attempt below works
 	// on its own copy, patched for the ops it re-binds (a module change the
 	// engine has not seen), so the re-timings never pay the full-profile
 	// rebuild that dominated the stitch at n=1000.
 	capped := st.cons.PowerMax > 0
 	if capped {
-		if st.eng != nil {
-			sm.baseProf = append(sm.baseProf[:0], st.eng.profile...)
-		} else {
-			sm.baseProf = append(sm.baseProf[:0], st.committedProfileScratch(st.cons.Deadline)...)
-		}
+		sm.baseProf = append(sm.baseProf[:0], st.eng.profile...)
 	}
 	for _, at := range attempts {
 		var prof []float64
@@ -702,9 +695,7 @@ func (st *state) tryShiftMerge(i, j int, cur float64) (float64, bool) {
 			st.fus[i].module = at.target
 			m := st.mergeFUs(i, j)
 			if a, err := st.evaluate(); err == nil && a < cur-1e-9 {
-				if st.eng != nil {
-					st.eng.rebuild(st)
-				}
+				st.eng.rebuild(st)
 				return a, true
 			}
 			st.unmergeFUs(m)
@@ -714,7 +705,7 @@ func (st *state) tryShiftMerge(i, j int, cur float64) (float64, bool) {
 		for k, x := range at.rebind {
 			st.setModule(x, sm.oldMods[k])
 		}
-		if ok && st.eng != nil {
+		if ok {
 			st.eng.rebuild(st)
 		}
 	}

@@ -4,10 +4,10 @@ import "fmt"
 
 // Stats counts the work one synthesis run performed. It is the
 // observability surface of the incremental evaluation engine: the
-// benchmark harness compares SchedulerRuns between the incremental and
-// the DisableIncremental paths, and the cache counters explain where the
-// savings come from. All counters are zero-based per run; Design.Stats
-// carries the counters of the run that produced the design.
+// benchmark harness reports SchedulerRuns, IncrementalRuns and
+// WindowCacheHits per design, and the cache counters explain where the
+// full scheduler runs went. All counters are zero-based per run;
+// Design.Stats carries the counters of the run that produced the design.
 type Stats struct {
 	// SchedulerRuns counts full pasap/palap executions (probes, window
 	// derivations, per-candidate overrides).
@@ -35,10 +35,6 @@ type Stats struct {
 	// ProfileProbes counts freeSlot feasibility probes against the
 	// committed power profile.
 	ProfileProbes int64
-	// ProfileRebuilds counts full committed-profile rebuilds; the
-	// incremental engine maintains the profile in O(delay) per commit and
-	// never rebuilds it on the hot path.
-	ProfileRebuilds int64
 	// SDCDerivations counts iterations whose candidate windows came from
 	// the SDC difference-constraint bounds (one O(V+E) pass) instead of
 	// per-candidate scheduler pairs.
@@ -86,7 +82,6 @@ func (s Stats) Add(o Stats) Stats {
 		FullInvalidations:   s.FullInvalidations + o.FullInvalidations,
 		Fallbacks:           s.Fallbacks + o.Fallbacks,
 		ProfileProbes:       s.ProfileProbes + o.ProfileProbes,
-		ProfileRebuilds:     s.ProfileRebuilds + o.ProfileRebuilds,
 		SDCDerivations:      s.SDCDerivations + o.SDCDerivations,
 		CompatPatches:       s.CompatPatches + o.CompatPatches,
 		CompatRebuilds:      s.CompatRebuilds + o.CompatRebuilds,
@@ -111,7 +106,6 @@ func (s Stats) String() string {
 			"  full cache invalidations     %8d\n"+
 			"  incremental fallbacks        %8d\n"+
 			"  profile probes               %8d\n"+
-			"  profile rebuilds             %8d\n"+
 			"  sdc window derivations       %8d\n"+
 			"  compat edge patches          %8d\n"+
 			"  compat full rebuilds         %8d\n"+
@@ -125,7 +119,7 @@ func (s Stats) String() string {
 		s.SchedulerRuns, s.IncrementalRuns,
 		s.WindowCacheHits, s.WindowCacheMisses,
 		s.WindowInvalidations, s.FullInvalidations, s.Fallbacks,
-		s.ProfileProbes, s.ProfileRebuilds,
+		s.ProfileProbes,
 		s.SDCDerivations, s.CompatPatches, s.CompatRebuilds,
 		s.Regions, s.RegionRepairs, s.PartitionFallbacks,
 		s.CutEdges, s.BoundaryTransfers, s.SharedCrossRegion,
