@@ -1,10 +1,19 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pchls/internal/bench"
@@ -66,6 +75,94 @@ func requireSameDesign(t *testing.T, label string, a, b *Design, aErr, bErr erro
 	}
 	if ar, br := a.Report(), b.Report(); ar != br {
 		t.Fatalf("%s: reports diverge:\n--- first ---\n%s\n--- second ---\n%s", label, ar, br)
+	}
+}
+
+// goldenDigestPath is the root package's checked-in digest file. Its
+// single/<bench> entries were recorded while the recompute-everything
+// evaluation path still existed and agreed with the engine byte for byte.
+var goldenDigestPath = filepath.Join("..", "..", "testdata", "golden_digests.txt")
+
+// readSingleDigests returns the single/<bench>/T<deadline>/P<cap> entries
+// of the digest file.
+func readSingleDigests(t *testing.T) map[string]string {
+	t.Helper()
+	f, err := os.Open(goldenDigestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		name, sum, ok := strings.Cut(strings.TrimSpace(sc.Text()), " ")
+		if ok && strings.HasPrefix(name, "single/") {
+			want[name] = strings.TrimSpace(sum)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// fullDigest hashes a design the way the root package's golden test does
+// for its single/ set: SHA-256 of the JSON, the report and the IEEE-754
+// bits of every decision's Cost, or "infeasible".
+func fullDigest(t *testing.T, d *Design, err error) string {
+	t.Helper()
+	if errors.Is(err, ErrInfeasible) {
+		return "infeasible"
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := d.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	h.Write(js)
+	h.Write([]byte(d.Report()))
+	var b [8]byte
+	for _, dec := range d.Decisions {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(dec.Cost))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGoldenEquivalence gates the incremental evaluation engine: for
+// every benchmark × (T, P<) grid point exercised by the exploration test
+// surfaces, the engine must reproduce the design, report and decision
+// costs the recompute-everything path produced, as recorded in the
+// single/<bench> digests.
+func TestGoldenEquivalence(t *testing.T) {
+	want := readSingleDigests(t)
+	lib := library.Table1()
+	for _, name := range goldenBenchmarks {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			g, err := bench.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			asap, err := sched.ASAP(g, sched.UniformFastest(lib))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cons := range goldenGrid(asap.Length(), asap.PeakPower()) {
+				key := fmt.Sprintf("single/%s/T%d/P%g", name, cons.Deadline, cons.PowerMax)
+				w, ok := want[key]
+				if !ok {
+					t.Fatalf("%s: no recorded digest in %s", key, goldenDigestPath)
+				}
+				d, err := Synthesize(g, lib, cons, Config{})
+				if got := fullDigest(t, d, err); got != w {
+					t.Errorf("%s: digest %s, want %s", key, got, w)
+				}
+			}
+		})
 	}
 }
 
