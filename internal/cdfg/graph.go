@@ -388,10 +388,13 @@ func (m Bitmat) Set(r, c int) { m.bits[r*m.w+c/64] |= 1 << uint(c%64) }
 // Get reports bit (r, c).
 func (m Bitmat) Get(r, c int) bool { return m.bits[r*m.w+c/64]&(1<<uint(c%64)) != 0 }
 
+// Row returns row r as its backing words: bit c%64 of word c/64 is
+// (r, c). The slice aliases the matrix; bits at c >= N() are zero.
+func (m Bitmat) Row(r int) []uint64 { return m.bits[r*m.w : r*m.w+m.w] }
+
 // OrRow ORs row src into row dst (dst |= src).
 func (m Bitmat) OrRow(dst, src int) {
-	d := m.bits[dst*m.w : dst*m.w+m.w]
-	s := m.bits[src*m.w : src*m.w+m.w]
+	d, s := m.Row(dst), m.Row(src)
 	for i := range d {
 		d[i] |= s[i]
 	}

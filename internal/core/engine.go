@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"pchls/internal/cdfg"
 	"pchls/internal/library"
 	"pchls/internal/sched"
@@ -67,9 +69,10 @@ type engine struct {
 	// were derived.
 	dirty []bool
 
-	// reach is the precedence reachability bitmap (reach.Get(u, v) means
-	// v is reachable from u).
-	reach cdfg.Bitmat
+	// related is the symmetric precedence relation: row u has bit v set
+	// when v is reachable from u or u from v (reachability ∪ its
+	// transpose), so a node's ancestors and descendants are one row.
+	related cdfg.Bitmat
 	// minStart/maxEnd bound, per node, every start/completion time any
 	// schedule under the deadline can assign, using minimum candidate
 	// delays; they are the conservative spans of the power-coupling
@@ -92,6 +95,16 @@ func newEngine(st *state) (*engine, error) {
 	reach, err := st.g.Reachability()
 	if err != nil {
 		return nil, err
+	}
+	related := cdfg.NewBitmat(n)
+	for u := 0; u < n; u++ {
+		for w, word := range reach.Row(u) {
+			for ; word != 0; word &= word - 1 {
+				v := w*64 + bits.TrailingZeros64(word)
+				related.Set(u, v)
+				related.Set(v, u)
+			}
+		}
 	}
 	minDelay := make([]int, n)
 	maxDelay := make([]int, n)
@@ -137,7 +150,7 @@ func newEngine(st *state) (*engine, error) {
 		over:     make([]winEntry, n*st.nm),
 		overSet:  make([]bool, n*st.nm),
 		dirty:    make([]bool, n),
-		reach:    reach,
+		related:  related,
 		minStart: minStart,
 		maxEnd:   maxEnd,
 		maxDelay: maxDelay,
@@ -254,20 +267,29 @@ func (e *engine) rebuild(st *state) {
 // until no clean node's span overlaps a disturbed cycle.
 func (st *state) markDirtyAfterCommit(d Decision) {
 	eng := st.eng
-	n := st.g.N()
 	u := int(d.Node)
-	if st.cons.PowerMax <= 0 {
-		for v := 0; v < n; v++ {
-			if !st.committed[v] && (eng.reach.Get(u, v) || eng.reach.Get(v, u)) {
-				eng.dirty[v] = true
+	queue := eng.queue[:0]
+	add := func(v int) {
+		if !eng.dirty[v] && !st.committed[v] {
+			eng.dirty[v] = true
+			queue = append(queue, v)
+		}
+	}
+	// addRelated adds x's precedence relatives: the set bits of its row.
+	addRelated := func(x int) {
+		for w, word := range eng.related.Row(x) {
+			for ; word != 0; word &= word - 1 {
+				add(w*64 + bits.TrailingZeros64(word))
 			}
 		}
+	}
+	if st.cons.PowerMax <= 0 {
+		addRelated(u)
+		eng.queue = queue[:0]
 		return
 	}
 	changed := eng.changed
-	for c := range changed {
-		changed[c] = false
-	}
+	clear(changed)
 	mark := func(lo, hi int) { // [lo, hi)
 		if lo < 0 {
 			lo = 0
@@ -301,38 +323,23 @@ func (st *state) markDirtyAfterCommit(d Decision) {
 		return false
 	}
 
-	queue := eng.queue[:0]
-	add := func(v int) {
-		if !eng.dirty[v] && !st.committed[v] {
-			eng.dirty[v] = true
-			queue = append(queue, v)
-		}
-	}
 	// Seeds: the cycles the committed node now occupies, the whole span
 	// its previous base window could have covered, and its precedence
 	// relatives.
 	m := st.lib.Module(st.moduleOf[u])
 	mark(d.Start, d.Start+m.Delay)
 	mark(eng.baseWin[u].Early, eng.baseWin[u].Late+eng.maxDelay[u])
-	for v := 0; v < n; v++ {
-		if eng.reach.Get(u, v) || eng.reach.Get(v, u) {
-			add(v)
-		}
-	}
+	addRelated(u)
 	for {
 		for len(queue) > 0 {
 			x := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
-			for v := 0; v < n; v++ {
-				if eng.reach.Get(x, v) || eng.reach.Get(v, x) {
-					add(v)
-				}
-			}
+			addRelated(x)
 			lo, hi := span(x)
 			mark(lo, hi)
 		}
 		progressed := false
-		for v := 0; v < n; v++ {
+		for v := range eng.dirty {
 			if eng.dirty[v] || st.committed[v] {
 				continue
 			}

@@ -10,35 +10,7 @@ import (
 	"testing"
 
 	"pchls/internal/bench"
-	"pchls/internal/cdfg"
-	"pchls/internal/library"
 )
-
-// hotOptions builds the synthesizer-style options for g: a bound arena,
-// precomputed delay/power tables and a FixedStarts buffer, which is what
-// the synthesize loop passes on every run.
-func hotOptions(g *cdfg.Graph, powerMax float64) (Options, Binding) {
-	bind := UniformFastest(library.Table1())
-	n := g.N()
-	delays := make([]int, n)
-	powers := make([]float64, n)
-	for _, node := range g.Nodes() {
-		m := bind(node)
-		delays[node.ID] = m.Delay
-		powers[node.ID] = m.Power
-	}
-	fixed := make([]int, n)
-	for i := range fixed {
-		fixed[i] = -1
-	}
-	return Options{
-		PowerMax:    powerMax,
-		FixedStarts: fixed,
-		Delays:      delays,
-		Powers:      powers,
-		Arena:       NewArena(g),
-	}, bind
-}
 
 // TestPASAPSteadyStateAllocs pins the steady-state allocation count of a
 // full PASAP run with arena and tables: the returned Schedule shell and
@@ -62,10 +34,37 @@ func TestPASAPSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestPASAPMemoMissAllocs pins the same budget when the critical-first
+// order memo misses on every run: the Delays table alternates between
+// two single-node overrides, so each run recomputes the order and copies
+// the table into the memo's recycled buffer.
+func TestPASAPMemoMissAllocs(t *testing.T) {
+	g := bench.Elliptic()
+	opts, bind := hotOptions(g, 20)
+	tables := [2][]int{opts.Delays, append([]int(nil), opts.Delays...)}
+	v := g.N() / 2
+	tables[1][v]++
+	run := 0
+	pasap := func() {
+		opts.Delays = tables[run%2]
+		run++
+		if _, err := PASAP(g, bind, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pasap()
+	pasap()
+	got := testing.AllocsPerRun(50, pasap)
+	const max = 2 // Schedule struct + Start slice
+	if got > max {
+		t.Fatalf("PASAP with a missed order memo allocates %.1f/run, budget %d", got, max)
+	}
+}
+
 // TestPALAPSteadyStateAllocs pins the steady-state allocation count of a
-// full PALAP run: the forward and reversed Schedule shells with their
-// Start slices (the reversed graph and all conversion buffers live in the
-// arena).
+// full PALAP run: the forward Schedule shell and its Start slice. The
+// reversed graph, all conversion buffers and the reversed run's schedule
+// shell live in the arena.
 func TestPALAPSteadyStateAllocs(t *testing.T) {
 	g := bench.Elliptic()
 	opts, bind := hotOptions(g, 20)
@@ -77,7 +76,7 @@ func TestPALAPSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const max = 4 // two Schedule shells + two Start slices
+	const max = 2 // Schedule struct + Start slice
 	if got > max {
 		t.Fatalf("PALAP steady state allocates %.1f/run, budget %d", got, max)
 	}
@@ -102,7 +101,7 @@ func TestWindowsDirtySteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const max = 7 // pasap (2) + palap (4) + the []Window result
+	const max = 5 // pasap (2) + palap (2) + the []Window result
 	if got > max {
 		t.Fatalf("WindowsDirty steady state allocates %.1f/run, budget %d", got, max)
 	}

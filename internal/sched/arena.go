@@ -1,6 +1,10 @@
 package sched
 
-import "pchls/internal/cdfg"
+import (
+	"slices"
+
+	"pchls/internal/cdfg"
+)
 
 // Arena is per-synthesis scratch storage for the schedulers. A single
 // synthesis runs pasap/palap hundreds to thousands of times over the same
@@ -22,21 +26,25 @@ type Arena struct {
 	topo  []cdfg.NodeID // cached topological order of g
 	rtopo []cdfg.NodeID // cached topological order of rev
 
-	// criticalFirstOrder scratch.
-	prio  []int
-	indeg []int
-	ready []cdfg.NodeID
-	order []cdfg.NodeID
+	// criticalFirstOrder scratch, and the memoized order of each
+	// direction (fwd for g, bwd for rev).
+	prio     []int
+	indeg    []int
+	ready    []cdfg.NodeID
+	fwd, bwd orderMemo
 
 	// pasapPinned scratch.
 	profile  []float64
 	fixedIDs []cdfg.NodeID
 
 	// palapPinned scratch (distinct from the buffers the nested pasap run
-	// on the reversed graph uses).
+	// on the reversed graph uses). rsched is the reversed run's schedule
+	// shell: palap converts it to the forward frame and drops it before
+	// the next run, so its Start buffer is recycled.
 	rbase  []float64
 	rfixed []int
 	rpin   []int
+	rsched Schedule
 
 	// WindowsDirty pin scratch.
 	pin []int
@@ -74,6 +82,38 @@ func (a *Arena) topoFor(g *cdfg.Graph) ([]cdfg.NodeID, error) {
 		return a.rtopo, nil
 	}
 	return g.TopoOrder()
+}
+
+// orderMemo is one memoized critical-first order: the order computed
+// from the delay table delays. The order is a function of the graph and
+// the delays alone, so a later run under an equal table reuses it.
+type orderMemo struct {
+	ok     bool
+	delays []int
+	order  []cdfg.NodeID
+}
+
+// memoFor returns the order memo of g (one per direction), or nil when g
+// is foreign to the arena.
+func (a *Arena) memoFor(g *cdfg.Graph) *orderMemo {
+	switch {
+	case a == nil:
+		return nil
+	case g == a.g:
+		return &a.fwd
+	case a.rev != nil && g == a.rev:
+		return &a.bwd
+	}
+	return nil
+}
+
+// lookup returns the memoized order when it was computed from a table
+// equal to delays (never for a nil table).
+func (m *orderMemo) lookup(delays []int) ([]cdfg.NodeID, bool) {
+	if m == nil || !m.ok || delays == nil || !slices.Equal(m.delays, delays) {
+		return nil, false
+	}
+	return m.order, true
 }
 
 // reverseOf returns the cached reversed graph of g (building it once), or

@@ -49,7 +49,7 @@ func PASAPDirty(g *cdfg.Graph, bind Binding, opts Options, prev *Schedule, dirty
 	if prev == nil {
 		return nil, fmt.Errorf("sched: pasap dirty: nil previous schedule")
 	}
-	return pasapPinned(g, bind, opts, pinsFrom(opts.arenaFor(g), g.N(), func(i int) int { return prev.Start[i] }, dirty))
+	return pasapPinned(g, bind, opts, pinsFrom(opts.arenaFor(g), g.N(), func(i int) int { return prev.Start[i] }, dirty), nil)
 }
 
 // PALAPDirty is the as-late-as-possible analogue of PASAPDirty: clean
@@ -75,7 +75,7 @@ func WindowsDirty(g *cdfg.Graph, bind Binding, deadline int, opts Options, prev 
 		return nil, fmt.Errorf("sched: windows dirty: %d previous windows for %d nodes", len(prev), g.N())
 	}
 	a := opts.arenaFor(g)
-	early, err := pasapPinned(g, bind, opts, pinsFrom(a, g.N(), func(i int) int { return prev[i].Early }, dirty))
+	early, err := pasapPinned(g, bind, opts, pinsFrom(a, g.N(), func(i int) int { return prev[i].Early }, dirty), nil)
 	if err != nil {
 		return nil, err
 	}

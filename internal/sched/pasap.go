@@ -155,7 +155,7 @@ func (o *Options) arenaFor(g *cdfg.Graph) *Arena {
 // power exceeds PowerMax, and an error if the graph is cyclic or a fixed
 // placement is negative.
 func PASAP(g *cdfg.Graph, bind Binding, opts Options) (*Schedule, error) {
-	return pasapPinned(g, bind, opts, nil)
+	return pasapPinned(g, bind, opts, nil, nil)
 }
 
 // pasapPinned is the shared core of PASAP and PASAPDirty. pin, when
@@ -164,8 +164,10 @@ func PASAP(g *cdfg.Graph, bind Binding, opts Options) (*Schedule, error) {
 // precedence, the fixed-successor bound, and the power profile built so
 // far, returning an error wrapping ErrStale when a replay is no longer
 // consistent. Entries with pin[id] < 0 (and all fixed nodes) are placed
-// exactly as PASAP places them.
-func pasapPinned(g *cdfg.Graph, bind Binding, opts Options, pin []int) (*Schedule, error) {
+// exactly as PASAP places them. into, when non-nil, is a caller-owned
+// shell that the run refills instead of allocating one (see
+// newScheduleOpts); the caller must be done with its previous contents.
+func pasapPinned(g *cdfg.Graph, bind Binding, opts Options, pin []int, into *Schedule) (*Schedule, error) {
 	a := opts.arenaFor(g)
 	var order []cdfg.NodeID
 	var err error
@@ -173,12 +175,12 @@ func pasapPinned(g *cdfg.Graph, bind Binding, opts Options, pin []int) (*Schedul
 	case SmallestID:
 		order, err = a.topoFor(g)
 	default:
-		order, err = criticalFirstOrder(g, bind, &opts, a)
+		order, err = criticalFirstOrder(g, bind, opts.Delays, a)
 	}
 	if err != nil {
 		return nil, err
 	}
-	s := newScheduleOpts(g, bind, &opts)
+	s := newScheduleOpts(g, bind, &opts, into)
 	horizon := opts.Horizon
 	if horizon <= 0 {
 		// A serial placement always exists, but greedy stretching can
@@ -229,9 +231,7 @@ func pasapPinned(g *cdfg.Graph, bind Binding, opts Options, pin []int) (*Schedul
 	} else {
 		profile = make([]float64, horizon)
 	}
-	for c := range profile {
-		profile[c] = opts.baseAt(c)
-	}
+	clear(profile[copy(profile, opts.Base):])
 
 	place := func(id cdfg.NodeID, start int) error {
 		end := start + s.Delay[id]
@@ -366,12 +366,23 @@ func ASAP(g *cdfg.Graph, bind Binding) (*Schedule, error) {
 // criticalFirstOrder returns a topological order in which, among ready
 // operations, the one with the longest delay-weighted path to a sink comes
 // first (ties: smallest ID). It returns an error wrapping cdfg.ErrCycle on
-// cyclic graphs. With an arena, all scratch (including the returned order,
-// valid until the next scheduler run) is recycled. The ready operations
-// form a binary heap: the (priority, ID) comparator is a strict total
-// order, so the root is always the unique most critical ready operation
-// and the selected sequence is independent of the heap's layout.
-func criticalFirstOrder(g *cdfg.Graph, bind Binding, opts *Options, a *Arena) ([]cdfg.NodeID, error) {
+// cyclic graphs. delays, when non-nil, is the Options.Delays table;
+// otherwise bind gives each delay. With an arena, all scratch (including
+// the returned order, valid until the next scheduler run) is recycled.
+// The ready operations form a binary heap: the (priority, ID) comparator
+// is a strict total order, so the root is always the unique most critical
+// ready operation and the selected sequence is independent of the heap's
+// layout.
+//
+// The order is therefore a function of the graph and the delays alone.
+// An arena memoizes the last order of each direction together with a copy
+// of the delays table it was computed from, and returns it while the
+// table is unchanged; runs without a table always recompute.
+func criticalFirstOrder(g *cdfg.Graph, bind Binding, delays []int, a *Arena) ([]cdfg.NodeID, error) {
+	memo := a.memoFor(g)
+	if order, ok := memo.lookup(delays); ok {
+		return order, nil
+	}
 	topo, err := a.topoFor(g)
 	if err != nil {
 		return nil, err
@@ -383,7 +394,7 @@ func criticalFirstOrder(g *cdfg.Graph, bind Binding, opts *Options, a *Arena) ([
 		prio = growInts(&a.prio, n)
 		indeg = growInts(&a.indeg, n)
 		ready = growIDs(&a.ready, 0)
-		order = growIDs(&a.order, 0)
+		order = growIDs(&memo.order, 0)
 	} else {
 		prio = make([]int, n)
 		indeg = make([]int, n)
@@ -398,8 +409,8 @@ func criticalFirstOrder(g *cdfg.Graph, bind Binding, opts *Options, a *Arena) ([
 				best = prio[v]
 			}
 		}
-		if opts != nil && opts.Delays != nil {
-			prio[u] = best + opts.Delays[u]
+		if delays != nil {
+			prio[u] = best + delays[u]
 		} else {
 			prio[u] = best + bind(g.Node(u)).Delay
 		}
@@ -430,7 +441,11 @@ func criticalFirstOrder(g *cdfg.Graph, bind Binding, opts *Options, a *Arena) ([
 		}
 	}
 	if a != nil {
-		a.ready, a.order = ready[:0], order
+		a.ready, memo.order = ready[:0], order
+		memo.ok = delays != nil
+		if memo.ok {
+			memo.delays = append(memo.delays[:0], delays...)
+		}
 	}
 	return order, nil
 }
@@ -582,7 +597,13 @@ func palapPinned(g *cdfg.Graph, bind Binding, deadline int, opts Options, pin []
 			}
 		}
 	}
-	rs, err := pasapPinned(r, bind, ropts, rpin)
+	// The reversed schedule is converted and dropped below, so an arena
+	// lends its shell.
+	var rshell *Schedule
+	if a != nil {
+		rshell = &a.rsched
+	}
+	rs, err := pasapPinned(r, bind, ropts, rpin, rshell)
 	if err != nil {
 		// A horizon overflow in the reversed frame means the deadline
 		// cannot be met; single-operation power infeasibility passes
@@ -592,7 +613,7 @@ func palapPinned(g *cdfg.Graph, bind Binding, deadline int, opts Options, pin []
 		}
 		return nil, fmt.Errorf("sched: palap: %w", err)
 	}
-	s := newScheduleOpts(g, bind, &opts)
+	s := newScheduleOpts(g, bind, &opts, nil)
 	for i := range s.Start {
 		s.Start[i] = deadline - rs.Start[i] - rs.Delay[i]
 		if s.Start[i] < 0 {

@@ -103,16 +103,23 @@ func newSchedule(g *cdfg.Graph, bind Binding) *Schedule {
 // (the caller keeps them stable while the schedule is read) and leaves
 // Module nil, skipping the n Binding calls of newSchedule. This is the
 // synthesizer's hot path; diagnostic rendering uses the classic shell.
-func newScheduleOpts(g *cdfg.Graph, bind Binding, opts *Options) *Schedule {
+// On this path a non-nil into is refilled in place of a new shell: its
+// Start buffer is reused without clearing, as every scheduler writes each
+// start before reading it.
+func newScheduleOpts(g *cdfg.Graph, bind Binding, opts *Options, into *Schedule) *Schedule {
 	if opts.Delays == nil || opts.Powers == nil {
 		return newSchedule(g, bind)
 	}
-	return &Schedule{
+	if into == nil {
+		into = new(Schedule)
+	}
+	*into = Schedule{
 		G:     g,
-		Start: make([]int, g.N()),
+		Start: growInts(&into.Start, g.N()),
 		Delay: opts.Delays,
 		Power: opts.Powers,
 	}
+	return into
 }
 
 // End returns the first cycle after node i finishes (Start[i] + Delay[i]).
@@ -162,7 +169,7 @@ func (s *Schedule) PeakPower() float64 {
 func (s *Schedule) Energy() float64 {
 	e := 0.0
 	for i := range s.Start {
-		e += s.Power[i] * float64(s.Delay[i])
+		e += float64(s.Power[i] * float64(s.Delay[i])) // no fused multiply-add
 	}
 	return e
 }
